@@ -26,8 +26,8 @@ from .coarsegrain import (
     coarse_grain_sample,
     single_particle_response,
 )
-from .trainer import TrainConfig, SweepStats, cost, evaluate, model_output, train
-from .finegrain import fine_grain_weights, multiscale_schedule
+from .trainer import TrainConfig, SweepStats, cost, evaluate, train
+from .finegrain import fine_grain_weights
 
 __all__ = [
     "ArgumentError",
@@ -58,8 +58,6 @@ __all__ = [
     "SweepStats",
     "cost",
     "evaluate",
-    "model_output",
     "train",
     "fine_grain_weights",
-    "multiscale_schedule",
 ]

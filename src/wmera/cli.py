@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,24 +39,21 @@ from .ingest import (
     read_series_csv,
     read_wav,
 )
-from .mps import load_mps, save_mps
+from .mps import MPS, load_mps, save_mps
 from .trainer import TrainConfig, evaluate, train
 from .util import canonical_json, sha256_file, sha256_hex
 from .wavelet import build_daub4_layer
 
 CACHE_ENV_VAR = "WMERA_CACHE_DIR"
 
-_TRAIN_KEYS = {
-    "n_sweeps": int,
-    "delta_weights": float,
-    "chi_max": int,
-    "lambda": float,
-    "cg_max_iters": int,
-    "cg_tol": float,
-    "init_bond": int,
-    "init_scale": float,
-    "seed": int,
-}
+
+def _train_key(name: str) -> str:
+    """Configuration key of a TrainConfig field; the ridge term is 'lambda'."""
+    return "lambda" if name == "lam" else name
+
+
+# configuration key -> (TrainConfig field, value type)
+_TRAIN_KEYS = {_train_key(f.name): (f.name, type(f.default)) for f in fields(TrainConfig)}
 
 _PIPELINE_KEYS = {
     "manifest": str,
@@ -150,16 +147,16 @@ def resolve_config(args) -> PipelineConfig:
         if scale_part:
             if name not in _TRAIN_KEYS:
                 raise ArgumentError(f"unknown per-scale configuration key {key!r}")
-            scale = _convert(key, scale_part, int)
-            field_name = "lam" if name == "lambda" else name
-            overrides.setdefault(scale, {})[field_name] = _convert(key, value, _TRAIN_KEYS[name])
+            target = overrides.setdefault(_convert(key, scale_part, int), {})
         elif name in _TRAIN_KEYS:
-            field_name = "lam" if name == "lambda" else name
-            train_kwargs[field_name] = _convert(key, value, _TRAIN_KEYS[name])
+            target = train_kwargs
         elif name in _PIPELINE_KEYS:
             plain[name] = _convert(key, value, _PIPELINE_KEYS[name])
+            continue
         else:
             raise ArgumentError(f"unknown configuration key {name!r}")
+        field_name, kind = _TRAIN_KEYS[name]
+        target[field_name] = _convert(key, value, kind)
 
     if getattr(args, "seed", None) is not None:
         train_kwargs["seed"] = args.seed
@@ -195,15 +192,19 @@ def _load_manifest(path: Path) -> dict:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
     task = manifest.get("task")
     if task == "classification":
         samples = manifest.get("samples")
         if not isinstance(samples, list) or not samples:
             raise FormatError(f"{path}: classification manifest needs a 'samples' list")
         for i, entry in enumerate(samples):
-            if "path" not in entry or "label" not in entry:
+            if not isinstance(entry, dict) or "path" not in entry or "label" not in entry:
                 raise FormatError(f"{path}: sample {i} needs 'path' and 'label'")
-            if float(entry["label"]) not in (-1.0, 1.0):
+            if not isinstance(entry["path"], str):
+                raise FormatError(f"{path}: sample {i} path must be a string")
+            if isinstance(entry["label"], bool) or entry["label"] not in (-1, 1):
                 raise DataError(f"{path}: sample {i} label must be +1 or -1")
             if entry.get("split", "train") not in ("train", "test"):
                 raise FormatError(f"{path}: sample {i} split must be 'train' or 'test'")
@@ -211,8 +212,19 @@ def _load_manifest(path: Path) -> dict:
         for key in ("series", "p", "fit_range"):
             if key not in manifest:
                 raise FormatError(f"{path}: regression manifest needs {key!r}")
-        lo, hi = manifest["fit_range"]
-        if not 0 <= int(lo) < int(hi):
+        if not isinstance(manifest["series"], str):
+            raise FormatError(f"{path}: series must be a file name")
+        if not isinstance(manifest.get("column", ""), (str, type(None))):
+            raise FormatError(f"{path}: column must be a column name")
+        # exact type tests: JSON integers load as int, true/false as bool
+        if type(manifest["p"]) is not int:
+            raise FormatError(f"{path}: p must be an integer")
+        fit_range = manifest["fit_range"]
+        if not (isinstance(fit_range, list) and len(fit_range) == 2
+                and all(type(v) is int for v in fit_range)):
+            raise FormatError(f"{path}: fit_range must be a list of two integers")
+        lo, hi = fit_range
+        if not 0 <= lo < hi:
             raise FormatError(f"{path}: fit_range must satisfy 0 <= lo < hi")
     else:
         raise FormatError(f"{path}: task must be 'classification' or 'regression'")
@@ -238,22 +250,21 @@ def load_raw_datasets(cfg: PipelineConfig) -> tuple[list[RawSample], list[RawSam
     """Ingest, pad, and Haar-reduce the manifest's data into train/test lists."""
     train_rows: list[RawSample] = []
     test_rows: list[RawSample] = []
+    base = cfg.manifest_path.parent
     if cfg.task == "classification":
-        base = cfg.manifest_path.parent
         for entry in cfg.manifest["samples"]:
             path = base / entry["path"]
             values = _read_series_file(path)
             if cfg.pad_to is not None:
                 values = pad_to_pow2(values, cfg.pad_to)
             values = haar_preprocess(values, cfg.n_h2)
-            row = RawSample(values, float(entry["label"]), str(entry["path"]))
+            row = RawSample(values, float(entry["label"]), entry["path"])
             (test_rows if entry.get("split", "train") == "test" else train_rows).append(row)
     else:
-        base = cfg.manifest_path.parent
         series = read_series_csv(base / cfg.manifest["series"],
                                  column=cfg.manifest.get("column"))
-        p = int(cfg.manifest["p"])
-        lo, hi = (int(v) for v in cfg.manifest["fit_range"])
+        p = cfg.manifest["p"]
+        lo, hi = cfg.manifest["fit_range"]
         windows = make_windows(series, p, source_id=Path(cfg.manifest["series"]).stem)
         for start, row in enumerate(windows):
             values = haar_preprocess(row.values, cfg.n_h2)
@@ -291,7 +302,6 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
     fingerprint = compute_fingerprint(cfg)
     root = cfg.cache_root
     splits = {}
-    reusable = True
     for split in ("train", "test"):
         directory = root / split
         try:
@@ -308,19 +318,15 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
     log(f"building cache at {root}")
     train_rows, test_rows = load_raw_datasets(cfg)
     scaler = fit_scaler(train_rows)
-    train_states, train_labels = _encode_rows(train_rows, scaler)
-    train_cache = coarse_grain_dataset(train_states, train_labels, cfg.n_d4_layers,
-                                       cfg.delta_data, cfg.chi_data,
-                                       threads=cfg.threads, fingerprint=fingerprint)
-    save_cache(train_cache, root / "train")
-    test_cache = None
-    if test_rows:
-        test_states, test_labels = _encode_rows(test_rows, scaler)
-        test_cache = coarse_grain_dataset(test_states, test_labels, cfg.n_d4_layers,
-                                          cfg.delta_data, cfg.chi_data,
-                                          threads=cfg.threads, fingerprint=fingerprint)
-        save_cache(test_cache, root / "test")
-    return train_cache, test_cache
+    caches = {"train": None, "test": None}
+    for split, rows in (("train", train_rows), ("test", test_rows)):
+        if rows:
+            states, labels = _encode_rows(rows, scaler)
+            caches[split] = coarse_grain_dataset(states, labels, cfg.n_d4_layers,
+                                                 cfg.delta_data, cfg.chi_data,
+                                                 threads=cfg.threads, fingerprint=fingerprint)
+            save_cache(caches[split], root / split)
+    return caches["train"], caches["test"]
 
 
 def _load_caches(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
@@ -337,7 +343,6 @@ def _load_caches(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
 def write_snapshot(cfg: PipelineConfig, extra: dict | None = None) -> None:
     """Resolved configuration, one sorted key = value per line."""
     cfg.output.mkdir(parents=True, exist_ok=True)
-    tc = cfg.train_base
     entries = {
         "manifest": str(cfg.manifest_path),
         "output": str(cfg.output),
@@ -349,21 +354,13 @@ def write_snapshot(cfg: PipelineConfig, extra: dict | None = None) -> None:
         "delta_data": cfg.delta_data,
         "chi_data": cfg.chi_data,
         "threads": cfg.threads,
-        "n_sweeps": tc.n_sweeps,
-        "delta_weights": tc.delta_weights,
-        "chi_max": tc.chi_max,
-        "lambda": tc.lam,
-        "cg_max_iters": tc.cg_max_iters,
-        "cg_tol": tc.cg_tol,
-        "init_bond": tc.init_bond,
-        "init_scale": tc.init_scale,
-        "seed": tc.seed,
         "version": __version__,
     }
+    for name, value in asdict(cfg.train_base).items():
+        entries[_train_key(name)] = value
     for scale, kwargs in sorted(cfg.train_overrides.items()):
         for name, value in kwargs.items():
-            key = "lambda" if name == "lam" else name
-            entries[f"{key}@{scale}"] = value
+            entries[f"{_train_key(name)}@{scale}"] = value
     if extra:
         entries.update(extra)
     lines = [f"{k} = {entries[k]}" for k in sorted(entries)]
@@ -393,6 +390,13 @@ def _metrics_writer(path: Path):
 def _model_path(cfg: PipelineConfig, scale: int, init: bool = False) -> Path:
     suffix = ".init.mps" if init else ".mps"
     return cfg.output / f"model_scale{scale}{suffix}"
+
+
+def _fine_grain(cfg: PipelineConfig, w: MPS, scale: int) -> tuple[MPS, float]:
+    """Project weights one scale finer, onto ``scale``, truncating with that
+    scale's training settings; returns the weights and the truncated weight."""
+    tc = cfg.train_config(scale)
+    return fine_grain_weights(w, build_daub4_layer(2 * len(w)), tc.delta_weights, tc.chi_max)
 
 
 def cmd_preprocess(cfg: PipelineConfig, args) -> int:
@@ -436,10 +440,7 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
     source = _model_path(cfg, scale)
     if not source.is_file():
         raise StateError(f"no trained model at {source}; run 'wmera train' first")
-    w = load_mps(source)
-    tc = cfg.train_config(scale - 1)
-    layer = build_daub4_layer(2 * len(w))
-    fine, err = fine_grain_weights(w, layer, tc.delta_weights, tc.chi_max)
+    fine, err = _fine_grain(cfg, load_mps(source), scale - 1)
     target = _model_path(cfg, scale - 1, init=True)
     save_mps(target, fine)
     print(f"scale {scale} -> {scale - 1}: truncated weight {err:.3g} -> {target}")
@@ -462,7 +463,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 def _eval_report(cfg, w, scale, train_cache, test_cache) -> dict:
-    report = {
+    return {
         "task": cfg.task,
         "scale": scale,
         "n_sites": train_cache.scales[scale].n_sites,
@@ -470,7 +471,6 @@ def _eval_report(cfg, w, scale, train_cache, test_cache) -> dict:
         "test_metric": (evaluate(w, test_cache.scales[scale], cfg.task)
                         if test_cache is not None else None),
     }
-    return report
 
 
 def cmd_pipeline(cfg: PipelineConfig, args) -> int:
@@ -481,12 +481,10 @@ def cmd_pipeline(cfg: PipelineConfig, args) -> int:
     w = None
     try:
         for scale in range(cfg.n_d4_layers, cfg.fine_grain_to - 1, -1):
-            tc = cfg.train_config(scale)
             if w is not None:
-                layer = build_daub4_layer(2 * len(w))
-                w, _ = fine_grain_weights(w, layer, tc.delta_weights, tc.chi_max)
-            w, stats = train(train_cache.scales[scale], tc, w0=w, task=cfg.task,
-                             threads=cfg.threads)
+                w, _ = _fine_grain(cfg, w, scale)
+            w, stats = train(train_cache.scales[scale], cfg.train_config(scale), w0=w,
+                             task=cfg.task, threads=cfg.threads)
             emit(scale, stats)
             save_mps(_model_path(cfg, scale), w)
             report = _eval_report(cfg, w, scale, train_cache, test_cache)

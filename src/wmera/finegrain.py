@@ -1,5 +1,4 @@
-"""Projection of trained weights back through a coarse-graining layer, and
-the multi-scale training schedule built on it.
+"""Projection of trained weights back through a coarse-graining layer.
 
 A layer maps fine states to coarse states; fine-graining applies the
 transposed map to the weights, so the model output on any fine sample equals
@@ -10,15 +9,12 @@ requested. Conjugate isometries expand each coarse site into two fine sites
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from .coarsegrain import ScaleCache, apply_pair_gates
-from .errors import ArgumentError, DimensionError, StateError
+from .coarsegrain import apply_pair_gates
+from .errors import DimensionError
 from .mps import MPS
 from .tensor import svd_split
-from .trainer import SweepEvent, SweepStats, TrainConfig, train
 from .wavelet import WaveletMeraLayer
 
 
@@ -50,47 +46,3 @@ def fine_grain_weights(w: MPS, layer: WaveletMeraLayer, delta: float = 0.0,
     # flips the contraction orientation, which is exactly conjugation.
     fine, err = apply_pair_gates(fine, layer.disentangler.T, delta, chi_max)
     return fine, total + err
-
-
-def multiscale_schedule(cache: ScaleCache, layers: Sequence[WaveletMeraLayer],
-                        cfgs: TrainConfig | Sequence[TrainConfig],
-                        start_scale: int, end_scale: int,
-                        task: str = "regression", w0: MPS | None = None,
-                        threads: int = 1,
-                        monitor: Callable[[SweepEvent], None] | None = None,
-                        ) -> tuple[MPS, list[list[SweepStats]]]:
-    """Train at the coarsest requested scale, then alternately fine-grain and
-    retrain down to ``end_scale``.
-
-    ``layers[i]`` must be the layer that coarse-grained scale i into scale
-    i+1. Returns the final weights and one stats list per visited scale,
-    coarsest first.
-    """
-    if not 0 <= end_scale <= start_scale:
-        raise ArgumentError(f"need 0 <= end_scale <= start_scale, got "
-                            f"({start_scale}, {end_scale})")
-    if start_scale >= cache.n_scales:
-        raise StateError(f"scale {start_scale} is not cached "
-                         f"({cache.n_scales} scales present)")
-    if len(layers) < start_scale:
-        raise ArgumentError(f"need a layer per scale step, got {len(layers)}")
-    for i in range(end_scale, start_scale):
-        if layers[i].n_sites_in != cache.scales[i].n_sites:
-            raise DimensionError(f"layer {i} covers {layers[i].n_sites_in} sites, "
-                                 f"scale {i} has {cache.scales[i].n_sites}")
-
-    def cfg_for(scale: int) -> TrainConfig:
-        if isinstance(cfgs, TrainConfig):
-            return cfgs
-        return cfgs[scale]
-
-    w, stats = train(cache.scales[start_scale], cfg_for(start_scale), w0=w0,
-                     task=task, threads=threads, monitor=monitor)
-    all_stats = [stats]
-    for scale in range(start_scale - 1, end_scale - 1, -1):
-        cfg = cfg_for(scale)
-        w, _ = fine_grain_weights(w, layers[scale], cfg.delta_weights, cfg.chi_max)
-        w, stats = train(cache.scales[scale], cfg, w0=w, task=task,
-                         threads=threads, monitor=monitor)
-        all_stats.append(stats)
-    return w, all_stats

@@ -112,14 +112,6 @@ def inner(w: MPS, x: MPS) -> float:
     return float(env[0, 0])
 
 
-def norm_sq(m: MPS) -> float:
-    """Squared norm; uses the center core directly when a gauge is claimed."""
-    if m.ortho_center is not None:
-        c = m.cores[m.ortho_center]
-        return float(np.vdot(c, c))
-    return inner(m, m)
-
-
 def _left_orthogonalize(cores: list[np.ndarray], start: int, stop: int) -> None:
     for j in range(start, stop):
         dl, d, dr = cores[j].shape

@@ -1,4 +1,4 @@
-"""Dense tensor primitives: pairwise contraction, truncated SVD splits, binary I/O.
+"""Dense tensor primitives: truncated SVD splits and binary I/O.
 
 Tensors are plain float64 numpy arrays in C (row-major) order. The binary
 record layout at the bottom of this module is the portability contract used
@@ -10,33 +10,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, FormatError, NumericError
-
-
-def contract(a: np.ndarray, b: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Contract ``a`` and ``b`` over the given (axis_of_a, axis_of_b) pairs.
-
-    The result carries the uncontracted axes of ``a`` followed by the
-    uncontracted axes of ``b``; an empty pair list is the outer product.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    axes_a = [p[0] for p in pairs]
-    axes_b = [p[1] for p in pairs]
-    if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-        raise ArgumentError("contraction pairs reuse an axis")
-    for ia, ib in pairs:
-        if not 0 <= ia < a.ndim or not 0 <= ib < b.ndim:
-            raise ArgumentError(f"contraction pair ({ia}, {ib}) out of range for "
-                                f"ranks ({a.ndim}, {b.ndim})")
-        if a.shape[ia] != b.shape[ib]:
-            raise DimensionError(f"contracted extents differ: axis {ia} of a has "
-                                 f"{a.shape[ia]}, axis {ib} of b has {b.shape[ib]}")
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
+from .errors import ArgumentError, FormatError, NumericError
 
 
 @dataclass(frozen=True)
@@ -135,13 +113,3 @@ def read_tensor(stream: BinaryIO) -> np.ndarray:
         raise FormatError(f"truncated tensor record: expected {count} values, "
                           f"got {len(raw) // 8}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-def save_tensor(path, t: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        write_tensor(f, t)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return read_tensor(f)

@@ -200,11 +200,6 @@ def _step_right(wc: np.ndarray, xc: np.ndarray, right: np.ndarray) -> np.ndarray
     return np.tensordot(t, xc, axes=([1, 2], [1, 2]))  # (bw, bx)
 
 
-def model_output(w: MPS, x: MPS) -> float:
-    """Scalar model response for one sample state."""
-    return inner(w, x)
-
-
 def model_outputs(w: MPS, data: ScaleData) -> np.ndarray:
     return np.array([inner(w, x) for x in data.samples])
 
@@ -291,21 +286,23 @@ def _cg_normal(phi: np.ndarray, y: np.ndarray, x0: np.ndarray, lam: float,
     return x
 
 
-def solve_local(b0: BondTensor, env: Environment, lam: float = 0.0,
-                cg_max_iters: int = 20, cg_tol: float = 1e-10) -> BondTensor:
-    """Minimize the window cost over the merged block, starting from ``b0``.
+def solve_local(phi: np.ndarray, y: np.ndarray, vec0: np.ndarray, lam: float = 0.0,
+                cg_max_iters: int = 20, cg_tol: float = 1e-10,
+                ) -> tuple[np.ndarray, float, float]:
+    """Minimize the window cost over the merged block, starting from ``vec0``.
 
-    Never returns a block with higher window cost than ``b0``.
+    ``phi`` is the window matrix of the bond and ``vec0`` the flattened
+    block. Returns the solved block with the window cost before and after;
+    never returns a block with higher window cost than ``vec0``.
     """
-    phi = env.window_matrix(b0.site_index)
-    vec0 = b0.value.ravel()
     if phi.shape[1] != vec0.size:
-        raise StateError("environment stacks disagree with the bond tensor shape")
-    y = env.data.labels
+        raise StateError("environment stacks out of step with the weights")
+    c_before = _window_cost(phi, vec0, y, lam)
     vec = _cg_normal(phi, y, vec0, lam, cg_max_iters, cg_tol)
-    if _window_cost(phi, vec, y, lam) > _window_cost(phi, vec0, y, lam):
-        vec = vec0  # roundoff ascent: keep the starting block
-    return BondTensor(vec.reshape(b0.value.shape), b0.site_index)
+    c_solved = _window_cost(phi, vec, y, lam)
+    if c_solved > c_before:
+        return vec0, c_before, c_before  # roundoff ascent: keep the starting block
+    return vec, c_before, c_solved
 
 
 def _metric_from_outputs(f: np.ndarray, y: np.ndarray, task: str) -> float:
@@ -349,14 +346,8 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
     for j in bonds:
         b = merge_bond(w, j)
         phi = env.window_matrix(j)
-        vec0 = b.value.ravel()
-        if phi.shape[1] != vec0.size:
-            raise StateError("environment stacks out of step with the weights")
-        c_before = _window_cost(phi, vec0, y, lam)
-        vec = _cg_normal(phi, y, vec0, lam, cfg.cg_max_iters, cfg.cg_tol)
-        c_solved = _window_cost(phi, vec, y, lam)
-        if c_solved > c_before:
-            vec, c_solved = vec0, c_before
+        vec, c_before, c_solved = solve_local(phi, y, b.value.ravel(), lam,
+                                              cfg.cg_max_iters, cfg.cg_tol)
         new_center = j + 1 if direction == "lr" else j
         slack = 1e-12 * (c_before + float(y @ y) / len(y))
         w_new, err = split_bond(w, BondTensor(vec.reshape(b.value.shape), j),

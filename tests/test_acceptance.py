@@ -24,10 +24,10 @@ from synthdata import (
 )
 from wmera.cli import main as cli_main
 from wmera.coarsegrain import ScaleData, apply_layer, coarse_grain_dataset, single_particle_response
-from wmera.finegrain import fine_grain_weights, multiscale_schedule
+from wmera.finegrain import fine_grain_weights
 from wmera.ingest import encode_sample
-from wmera.mps import BondTensor, canonicalize, merge_bond, split_bond
-from wmera.trainer import Environment, TrainConfig, cost, evaluate, local_gradient, model_output, train
+from wmera.mps import BondTensor, canonicalize, inner, merge_bond, split_bond
+from wmera.trainer import Environment, TrainConfig, cost, evaluate, local_gradient, train
 from wmera.wavelet import (
     DAUB4_ANGLES,
     HAAR_ANGLES,
@@ -169,8 +169,8 @@ def test_06_fine_grain_preservation():
     fine, _ = fine_grain_weights(w, build_daub4_layer(64), 0.0, None)
     worst = 0.0
     for xs_fine, xs_coarse in zip(cache.scales[0].samples, cache.scales[1].samples):
-        fc = model_output(w, xs_coarse)
-        worst = max(worst, abs(model_output(fine, xs_fine) - fc)
+        fc = inner(w, xs_coarse)
+        worst = max(worst, abs(inner(fine, xs_fine) - fc)
                     / max(1.0, abs(fc)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -187,7 +187,10 @@ def test_07_synthetic_classification():
                                    n_h2=2, n_layers=2)
     cfg = TrainConfig(n_sweeps=5, delta_weights=1e-14, chi_max=16, seed=5)
     layers = [build_daub4_layer(64), build_daub4_layer(32)]
-    w, _ = multiscale_schedule(tr, layers, cfg, 2, 0, task="classification")
+    w, _ = train(tr.scales[2], cfg, task="classification")
+    for scale in (1, 0):
+        w, _ = fine_grain_weights(w, layers[scale], cfg.delta_weights, cfg.chi_max)
+        w, _ = train(tr.scales[scale], cfg, w0=w, task="classification")
     train_acc = evaluate(w, tr.scales[0], "classification")
     test_acc = evaluate(w, te.scales[0], "classification")
     elapsed = time.perf_counter() - t0

@@ -172,6 +172,29 @@ class TestExitCodes:
         manifest["samples"][0]["label"] = 2
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("preprocess", "--config", cfg_path) == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workspace, mutate", [
+        (classification_workspace, lambda m: m["samples"][0].update(label="x")),
+        (classification_workspace, lambda m: m["samples"].__setitem__(0, "path and label")),
+        (classification_workspace, lambda m: m["samples"][0].update(path=7)),
+        (classification_workspace, lambda m: [m]),
+        (regression_workspace, lambda m: m.update(fit_range=[5])),
+        (regression_workspace, lambda m: m.update(fit_range=[8, "40"])),
+        (regression_workspace, lambda m: m.update(p="abc")),
+        (regression_workspace, lambda m: m.update(series=["series.csv"])),
+        (regression_workspace, lambda m: m.update(column=0)),
+    ], ids=["label-not-a-number", "sample-is-a-string", "path-not-a-string",
+            "top-level-list", "fit-range-of-one", "fit-range-of-strings",
+            "p-not-a-number", "series-not-a-string", "column-not-a-string"])
+    def test_mistyped_manifest_field_exits_3(self, tmp_path, capsys, workspace, mutate):
+        cfg_path = workspace(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        replaced = mutate(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            manifest if replaced is None else replaced))
+        assert run_cli("preprocess", "--config", cfg_path) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_train_without_cache_exits_5(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)

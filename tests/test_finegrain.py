@@ -1,14 +1,19 @@
-"""Pushing weights back through a layer and the multi-scale schedule."""
+"""Pushing weights back through a layer, and the multi-scale schedule of
+``wmera pipeline`` built on it."""
+
+import json
 
 import numpy as np
 import pytest
 
 from synthdata import random_mps, random_product_state, two_class_signals
-from wmera.coarsegrain import ScaleData, apply_layer, coarse_grain_dataset
-from wmera.errors import ArgumentError, DimensionError, StateError
-from wmera.finegrain import fine_grain_weights, multiscale_schedule
-from wmera.ingest import encode_sample, haar_preprocess
-from wmera.trainer import TrainConfig, cost, model_output, train
+from test_cli import CLASS_CONFIG, classification_workspace, run_cli
+from wmera.coarsegrain import apply_layer, coarse_grain_dataset
+from wmera.errors import DimensionError
+from wmera.finegrain import fine_grain_weights
+from wmera.ingest import encode_sample
+from wmera.mps import inner, load_mps
+from wmera.trainer import TrainConfig, cost, train
 from wmera.wavelet import build_daub4_layer, build_haar_layer, build_layer
 
 
@@ -24,7 +29,7 @@ class TestConjugation:
         for k in range(12):
             x = random_product_state(layer.n_sites_in, rng)
             cx = apply_layer(x, layer, delta_data=0.0, chi_data=None)
-            worst = max(worst, abs(model_output(fw, x) - model_output(w, cx)))
+            worst = max(worst, abs(inner(fw, x) - inner(w, cx)))
         return worst
 
     def test_daub4_layer_is_conjugated_exactly(self):
@@ -52,7 +57,7 @@ class TestConjugation:
         for _ in range(6):
             x = random_product_state(8, rng)
             cx = apply_layer(x, layer, delta_data=0.0, chi_data=None)
-            assert abs(model_output(fw, x) - model_output(w, cx)) < 1e-10
+            assert abs(inner(fw, x) - inner(w, cx)) < 1e-10
 
 
 class TestTruncationControls:
@@ -103,8 +108,8 @@ class TestOutputPreservation:
         fw, _ = fine_grain_weights(w, layer, delta=0.0, chi_max=None)
         for xs_fine, xs_coarse in zip(cache.scales[0].samples,
                                       cache.scales[1].samples):
-            fc = model_output(w, xs_coarse)
-            ff = model_output(fw, xs_fine)
+            fc = inner(w, xs_coarse)
+            ff = inner(fw, xs_fine)
             assert abs(ff - fc) <= 1e-8 * max(1.0, abs(fc))
 
     def test_cost_carries_over_between_scales(self):
@@ -119,53 +124,55 @@ class TestOutputPreservation:
 
 
 class TestMultiscaleSchedule:
-    def test_stats_cover_every_visited_scale(self):
-        cache = small_cache(n=16, n_layers=2)
-        layers = [build_daub4_layer(16), build_daub4_layer(8)]
-        cfg = TrainConfig(n_sweeps=2, delta_weights=1e-12, chi_max=4, seed=0)
-        w, all_stats = multiscale_schedule(cache, layers, cfg, 2, 0,
-                                           task="classification")
-        assert len(w) == 16
-        assert len(all_stats) == 3
-        assert all(len(s) == 2 for s in all_stats)
+    """``wmera pipeline`` is the schedule: train the coarsest scale, then
+    fine-grain and retrain at each finer scale down to ``fine_grain_to``."""
 
-    def test_single_scale_degenerates_to_train(self):
-        cache = small_cache()
-        cfg = TrainConfig(n_sweeps=2, delta_weights=1e-12, chi_max=4, seed=1)
-        w, all_stats = multiscale_schedule(cache, [build_daub4_layer(16)],
-                                           cfg, 1, 1)
-        assert len(w) == 8
-        assert len(all_stats) == 1
+    def run_pipeline(self, tmp_path, extra_config):
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2")
+                            + extra_config)
+        return run_cli("pipeline", "--config", cfg_path), tmp_path / "out"
 
-    def test_per_scale_configs_are_honoured(self):
-        cache = small_cache(n=16, n_layers=1)
-        cfgs = [TrainConfig(n_sweeps=3, delta_weights=1e-12, chi_max=4, seed=2),
-                TrainConfig(n_sweeps=1, delta_weights=1e-12, chi_max=4, seed=2)]
-        _, all_stats = multiscale_schedule(cache, [build_daub4_layer(16)],
-                                           cfgs, 1, 0)
-        assert len(all_stats[0]) == 1  # coarsest scale uses cfgs[1]
-        assert len(all_stats[1]) == 3
+    def metrics(self, out):
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        return [(r["scale"], r["sweep"]) for r in map(json.loads, lines)]
 
-    def test_backwards_scale_range_is_rejected(self):
-        cache = small_cache()
-        cfg = TrainConfig(n_sweeps=1, chi_max=4)
-        with pytest.raises(ArgumentError):
-            multiscale_schedule(cache, [build_daub4_layer(16)], cfg, 0, 1)
+    def test_stats_cover_every_visited_scale(self, tmp_path, capsys):
+        rc, out = self.run_pipeline(tmp_path, "fine_grain_to = 0\nn_sweeps@0 = 1\n")
+        assert rc == 0
+        # n_sweeps = 3 at scales 2 and 1, overridden to 1 at scale 0
+        assert self.metrics(out) == [(2, 0), (2, 1), (2, 2), (1, 0), (1, 1), (1, 2), (0, 0)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [s["scale"] for s in summary["scales"]] == [2, 1, 0]
+        for entry in summary["scales"]:
+            assert entry["model_file"] == f"model_scale{entry['scale']}.mps"
+            assert len(load_mps(out / entry["model_file"])) == 8 >> entry["scale"]
 
-    def test_uncached_scale_is_rejected(self):
-        cache = small_cache(n_layers=1)
-        cfg = TrainConfig(n_sweeps=1, chi_max=4)
-        with pytest.raises(StateError):
-            multiscale_schedule(cache, [build_daub4_layer(16)], cfg, 2, 0)
+    def test_single_scale_degenerates_to_train(self, tmp_path, capsys):
+        rc, out = self.run_pipeline(tmp_path, "fine_grain_to = 2\n")
+        assert rc == 0
+        assert self.metrics(out) == [(2, 0), (2, 1), (2, 2)]
+        cfg_path = tmp_path / "run.cfg"
+        alone = tmp_path / "alone"
+        assert run_cli("preprocess", "--config", cfg_path, "--output", alone) == 0
+        assert run_cli("train", "--config", cfg_path, "--output", alone) == 0
+        for name in ("metrics.jsonl", "model_scale2.mps"):
+            assert (alone / name).read_bytes() == (out / name).read_bytes()
 
-    def test_missing_layers_are_rejected(self):
-        cache = small_cache(n=16, n_layers=2)
-        cfg = TrainConfig(n_sweeps=1, chi_max=4)
-        with pytest.raises(ArgumentError):
-            multiscale_schedule(cache, [build_daub4_layer(16)], cfg, 2, 0)
+    def test_per_scale_configs_are_honoured(self, tmp_path, capsys):
+        rc, out = self.run_pipeline(tmp_path, "n_sweeps@2 = 1\nn_sweeps@1 = 2\n")
+        assert rc == 0
+        assert self.metrics(out) == [(2, 0), (1, 0), (1, 1), (0, 0), (0, 1), (0, 2)]
 
-    def test_mismatched_layer_width_is_rejected(self):
-        cache = small_cache(n=16, n_layers=1)
-        cfg = TrainConfig(n_sweeps=1, chi_max=4)
-        with pytest.raises(DimensionError):
-            multiscale_schedule(cache, [build_daub4_layer(12)], cfg, 1, 0)
+    def test_uncached_scale_is_rejected(self, tmp_path, capsys):
+        """A cache built with fewer layers has no scale 2 to start from."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2"))
+        assert run_cli("train", "--config", cfg_path) == 2
+        assert "not in cache" in capsys.readouterr().err
+
+    def test_backwards_scale_range_is_rejected(self, tmp_path, capsys):
+        rc, _ = self.run_pipeline(tmp_path, "fine_grain_to = 3\n")
+        assert rc == 2
+        assert "fine_grain_to" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from wmera.mps import (
     inner,
     load_mps,
     merge_bond,
-    norm_sq,
     product_state,
     save_mps,
     split_bond,
@@ -53,7 +52,7 @@ class TestConstruction:
         rng = np.random.default_rng(1)
         m = random_mps(4, 3, rng)
         dense = m.to_dense().ravel()
-        assert abs(norm_sq(m) - dense @ dense) < 1e-10 * (dense @ dense)
+        assert abs(inner(m, m) - dense @ dense) < 1e-10 * (dense @ dense)
 
 
 class TestCanonicalize:
@@ -80,7 +79,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(4)
         m = canonicalize(random_mps(5, 3, rng), 2)
         c = m.cores[2].ravel()
-        assert abs(float(c @ c) - norm_sq(m)) < 1e-10 * float(c @ c)
+        assert abs(float(c @ c) - inner(m, m)) < 1e-10 * float(c @ c)
 
     def test_incremental_shift_equals_fresh(self):
         """Moving the center one bond at a time lands on the same gauge."""

@@ -1,78 +1,12 @@
-"""Dense contraction, truncated SVD splits, and the binary tensor format."""
+"""Truncated SVD splits and the binary tensor format."""
 
 import io
 
 import numpy as np
 import pytest
 
-from wmera.errors import ArgumentError, DimensionError, FormatError
-from wmera.tensor import (
-    contract,
-    load_tensor,
-    read_tensor,
-    save_tensor,
-    svd_split,
-    write_tensor,
-)
-
-
-def naive_contract(a, b, pairs):
-    """Loop-based oracle, no tensordot."""
-    a_axes = [p[0] for p in pairs]
-    b_axes = [p[1] for p in pairs]
-    a_free = [i for i in range(a.ndim) if i not in a_axes]
-    b_free = [i for i in range(b.ndim) if i not in b_axes]
-    out_shape = [a.shape[i] for i in a_free] + [b.shape[i] for i in b_free]
-    out = np.zeros(out_shape if out_shape else (1,))
-    for a_idx in np.ndindex(*a.shape):
-        for b_idx in np.ndindex(*b.shape):
-            if any(a_idx[i] != b_idx[j] for i, j in pairs):
-                continue
-            pos = tuple(a_idx[i] for i in a_free) + tuple(b_idx[i] for i in b_free)
-            out[pos if pos else (0,)] += a[a_idx] * b[b_idx]
-    return out.reshape(out_shape)
-
-
-class TestContract:
-    def test_matrix_vector(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        x = np.array([1.0, 1.0])
-        assert np.allclose(contract(a, x, [(1, 0)]), [3.0, 7.0])
-
-    def test_outer_product(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([1.0, 1.0])
-        out = contract(a, b, [])
-        assert np.allclose(out, [[1.0, 1.0], [2.0, 2.0]])
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(8):
-            a = rng.standard_normal((3, 4, 2))
-            b = rng.standard_normal((4, 5, 2))
-            got = contract(a, b, [(1, 0), (2, 2)])
-            want = naive_contract(a, b, [(1, 0), (2, 2)])
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_full_contraction_is_scalar(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((2, 3))
-        got = contract(a, b, [(0, 0), (1, 1)])
-        assert got.shape == ()
-        assert abs(float(got) - np.sum(a * b)) < 1e-12
-
-    def test_rejects_extent_mismatch(self):
-        with pytest.raises(DimensionError):
-            contract(np.zeros((2, 3)), np.zeros((4, 2)), [(1, 0)])
-
-    def test_rejects_repeated_axis(self):
-        with pytest.raises(ArgumentError):
-            contract(np.zeros((2, 2)), np.zeros((2, 2)), [(0, 0), (0, 1)])
-
-    def test_rejects_out_of_range_axis(self):
-        with pytest.raises(ArgumentError):
-            contract(np.zeros((2, 2)), np.zeros((2, 2)), [(5, 0)])
+from wmera.errors import ArgumentError, FormatError
+from wmera.tensor import read_tensor, svd_split, write_tensor
 
 
 class TestSvdSplit:
@@ -156,8 +90,10 @@ class TestTensorIO:
         for shape in [(1,), (3, 4), (2, 3, 4, 5)]:
             t = rng.standard_normal(shape)
             path = tmp_path / "t.bin"
-            save_tensor(path, t)
-            np.testing.assert_array_equal(load_tensor(path), t)
+            with open(path, "wb") as f:
+                write_tensor(f, t)
+            with open(path, "rb") as f:
+                np.testing.assert_array_equal(read_tensor(f), t)
 
     def test_stream_holds_multiple_records(self):
         buf = io.BytesIO()

@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthdata import random_mps, random_product_state
 from wmera.coarsegrain import ScaleData
-from wmera.errors import ArgumentError, DimensionError
-from wmera.mps import MPS, BondTensor, canonicalize, merge_bond, product_state, split_bond
+from wmera.errors import ArgumentError, DimensionError, StateError
+from wmera.mps import MPS, BondTensor, canonicalize, inner, merge_bond, product_state, split_bond
 from wmera.trainer import (
     Environment,
     TrainConfig,
     cost,
     evaluate,
+    _window_cost,
     local_gradient,
-    model_output,
     model_outputs,
     random_weights,
     solve_local,
@@ -139,41 +141,45 @@ class TestGradient:
 
 class TestLocalSolve:
     def _window(self, rng, n_sites=5, n_samples=20, j=1):
+        """Window matrix, labels and flattened block of bond j."""
         data = linear_dataset(rng, n_sites, n_samples)
         w = canonicalize(random_mps(n_sites, 2, rng), j)
         env = Environment(w, data)
         env.refresh_left(w, up_to=j)
         env.refresh_right(w, down_to=j + 2)
-        return data, w, env, merge_bond(w, j)
+        return env.window_matrix(j), data.labels, merge_bond(w, j).value.ravel()
 
     def test_matches_dense_least_squares(self):
         rng = np.random.default_rng(45)
-        data, w, env, b = self._window(rng)
-        solved = solve_local(b, env, cg_max_iters=200, cg_tol=1e-14)
-        phi = env.window_matrix(b.site_index)
-        y = data.labels
+        phi, y, vec0 = self._window(rng)
+        vec, _, c_got = solve_local(phi, y, vec0, cg_max_iters=200, cg_tol=1e-14)
         x_ref, *_ = np.linalg.lstsq(phi, y, rcond=None)
         c_ref = 0.5 * np.mean((phi @ x_ref - y) ** 2)
-        c_got = 0.5 * np.mean((phi @ solved.value.ravel() - y) ** 2)
+        assert c_got == 0.5 * np.mean((phi @ vec - y) ** 2)
         assert c_got <= c_ref + 1e-9 * max(1.0, c_ref)
 
-    def test_never_worse_than_start(self):
-        rng = np.random.default_rng(46)
-        for _ in range(5):
-            data, w, env, b = self._window(rng, n_samples=6)
-            phi = env.window_matrix(b.site_index)
-            y = data.labels
-            before = 0.5 * np.mean((phi @ b.value.ravel() - y) ** 2)
-            solved = solve_local(b, env, cg_max_iters=3)
-            after = 0.5 * np.mean((phi @ solved.value.ravel() - y) ** 2)
-            assert after <= before + 1e-14
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 12),
+           j=st.integers(0, 3), lam=st.floats(0.0, 1.0),
+           cg_max_iters=st.integers(1, 30))
+    def test_never_worse_than_start(self, seed, n_samples, j, lam, cg_max_iters):
+        phi, y, vec0 = self._window(np.random.default_rng(seed), n_samples=n_samples, j=j)
+        vec, before, after = solve_local(phi, y, vec0, lam, cg_max_iters)
+        assert before == _window_cost(phi, vec0, y, lam)
+        assert after == _window_cost(phi, vec, y, lam)
+        assert after <= before
 
     def test_optimal_start_is_fixed_point(self):
         rng = np.random.default_rng(47)
-        data, w, env, b = self._window(rng)
-        first = solve_local(b, env, cg_max_iters=400, cg_tol=1e-14)
-        again = solve_local(first, env, cg_max_iters=400, cg_tol=1e-14)
-        np.testing.assert_allclose(again.value, first.value, atol=1e-9)
+        phi, y, vec0 = self._window(rng)
+        first, _, _ = solve_local(phi, y, vec0, cg_max_iters=400, cg_tol=1e-14)
+        again, _, _ = solve_local(phi, y, first, cg_max_iters=400, cg_tol=1e-14)
+        np.testing.assert_allclose(again, first, atol=1e-9)
+
+    def test_rejects_mismatched_block(self):
+        phi, y, vec0 = self._window(np.random.default_rng(48))
+        with pytest.raises(StateError):
+            solve_local(phi, y, vec0[:-1])
 
 
 class TestSweep:
@@ -287,7 +293,7 @@ class TestTrain:
         cfg = TrainConfig(n_sweeps=2, chi_max=4, seed=9)
         w, stats = train(data, cfg)
         assert stats[-1].cost < 1e-16
-        assert abs(model_output(w, data.samples[0]) - data.labels[0]) < 1e-7
+        assert abs(inner(w, data.samples[0]) - data.labels[0]) < 1e-7
 
 
 class TestEvaluate:
