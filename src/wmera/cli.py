@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -324,20 +325,31 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
             states, labels = _encode_rows(rows, scaler)
             caches[split] = coarse_grain_dataset(states, labels, cfg.n_d4_layers,
                                                  cfg.delta_data, cfg.chi_data,
-                                                 threads=cfg.threads, fingerprint=fingerprint)
+                                                 fingerprint=fingerprint)
             save_cache(caches[split], root / split)
+        elif (root / split).exists():
+            shutil.rmtree(root / split)  # a split the manifest no longer has
     return caches["train"], caches["test"]
 
 
 def _load_caches(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
+    """Load the caches that ``wmera preprocess`` built for this configuration."""
     root = cfg.cache_root
     if not (root / "train" / "manifest.json").is_file():
         raise StateError(f"no preprocessing cache at {root}; run 'wmera preprocess' first")
-    train_cache = load_cache(root / "train")
-    test_cache = None
-    if (root / "test" / "manifest.json").is_file():
-        test_cache = load_cache(root / "test")
-    return train_cache, test_cache
+    fingerprint = compute_fingerprint(cfg)
+    caches = []
+    for split in ("train", "test"):
+        directory = root / split
+        if split == "test" and not (directory / "manifest.json").is_file():
+            caches.append(None)
+            continue
+        cache = load_cache(directory)
+        if cache.fingerprint != fingerprint:
+            raise StateError(f"the cache at {directory} was built from other data or "
+                             "settings; run 'wmera preprocess' again")
+        caches.append(cache)
+    return caches[0], caches[1]
 
 
 def write_snapshot(cfg: PipelineConfig, extra: dict | None = None) -> None:
@@ -527,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key = value configuration file")
         p.add_argument("--output", help="override the output directory")
-        p.add_argument("--threads", type=int, help="worker threads for per-sample work")
+        p.add_argument("--threads", type=int,
+                       help="worker threads for per-sample training work")
         p.add_argument("--seed", type=int, help="override the training seed")
         if name in ("train", "finegrain", "eval"):
             p.add_argument("--scale", type=int, help="scale index (default: coarsest)")

@@ -1,35 +1,45 @@
-"""Application of coarse-graining layers to MPS-encoded samples, plus the
-on-disk cache of every sample at every scale.
+"""Coarse-graining layers applied to many MPS-encoded samples at once, plus
+the on-disk cache of every sample at every scale.
 
-Disentanglers are applied pair by pair as two-site gates, each followed by a
-truncated SVD re-split. The pair straddling the chain ends (periodic wrap)
-cannot be merged across the open boundary, so it is applied as a sum of
-per-end operator pairs and recompressed; see :func:`apply_pair_gates`.
-Isometries then contract the even pairs into coarse sites, halving the chain.
+Samples go through a layer as an :class:`MPSStack`, one zero-padded array of
+shape (n, left bond, 2, right bond) per site. Every step is one batched
+matmul, ``np.linalg.qr`` or ``np.linalg.svd`` over the stack, and each
+sample's rank at every cut is the one :func:`~wmera.tensor.svd_split` would
+choose for that sample alone.
+
+A layer applies its disentanglers pair by pair as two-site gates, each
+followed by a truncated SVD re-split. The pair straddling the chain ends
+(periodic wrap) cannot be merged across the open boundary, so it is applied
+as a sum of per-end operator pairs, which multiplies every bond by the gate's
+operator rank (4 for Daub4), and one compression sweep restores minimal
+bonds. Isometries then contract the even pairs into coarse sites, halving the
+chain.
+
+A dataset goes through each layer in chunks of consecutive samples whose
+wrap-enlarged stack fits ``_CHUNK_BYTES``; a chunk holds at least one sample.
+Single states (:func:`apply_layer`, :func:`apply_pair_gates` and
+fine-graining) run the same kernel as a stack of one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, DimensionError, FormatError, StateError
-from .mps import (
-    MPS,
-    BondTensor,
-    canonicalize,
-    compress,
-    inner,
-    merge_bond,
-    product_state,
-    read_mps_record,
-    split_bond,
-    write_mps_record,
+from .errors import (
+    ArgumentError,
+    DataError,
+    DimensionError,
+    FormatError,
+    NumericError,
+    StateError,
 )
-from .util import sha256_file, thread_map
+from .mps import MPS, inner, product_state, read_mps_record, write_mps_record
+from .util import sha256_file
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
 # A gate contracts its first (row) index with the incoming pair state:
@@ -40,29 +50,187 @@ from .wavelet import WaveletMeraLayer, build_daub4_layer
 
 _IDENTITY4 = np.eye(4)
 
+# Bound on the bytes of one chunk's wrap-enlarged stack. The wrap gate holds
+# the whole enlarged chain until its compression sweep ends, so this caps the
+# memory of coarse-graining independently of the dataset size.
+_CHUNK_BYTES = 4 << 20
 
-def _gate4(gate: np.ndarray) -> np.ndarray:
+
+class MPSStack:
+    """n chains of one length, stacked per site and zero-padded.
+
+    ``cores[j]`` has shape (n, bl, 2, br) and sample i's own core is the
+    leading block ``cores[j][i, :bonds[i, j], :, :bonds[i, j + 1]]``; every
+    entry outside it is zero, so padding trails every bond and a QR or SVD
+    of the padded matrix contains each sample's own factors. ``bonds`` is
+    (n, N + 1) and ``center`` is the orthogonality center all samples
+    share, as in ``MPS.ortho_center``. Kernel steps update a stack in place.
+    """
+
+    __slots__ = ("cores", "bonds", "center")
+
+    def __init__(self, cores: list[np.ndarray], bonds: np.ndarray,
+                 center: int | None = None):
+        self.cores = cores
+        self.bonds = bonds
+        self.center = center
+
+    @classmethod
+    def from_states(cls, states: list[MPS]) -> "MPSStack":
+        """Stack states that passed :func:`_check_states`."""
+        bonds = np.array([s.bond_dims for s in states])
+        cores = []
+        for j in range(len(states[0])):
+            stacked = np.zeros((len(states), bonds[:, j].max(), 2, bonds[:, j + 1].max()))
+            for i, s in enumerate(states):
+                core = s.cores[j]
+                stacked[i, :core.shape[0], :, :core.shape[2]] = core
+            cores.append(stacked)
+        centers = {s.ortho_center for s in states}
+        return cls(cores, bonds, centers.pop() if len(centers) == 1 else None)
+
+    def states(self) -> list[MPS]:
+        """Every sample as its own MPS, trimmed to its own bonds."""
+        return [MPS._from_valid([c[i, :b[j], :, :b[j + 1]].copy()
+                                 for j, c in enumerate(self.cores)], self.center)
+                for i, b in enumerate(self.bonds)]
+
+
+def _check_states(states: list[MPS], n_sites: int) -> None:
+    for s in states:
+        if len(s) != n_sites:
+            raise DimensionError(f"layer expects {n_sites} sites, state has {len(s)}")
+        if any(d != 2 for d in s.site_dims):
+            raise DimensionError("layers expect site dimension 2 everywhere")
+
+
+def _trim_left(core: np.ndarray, dims: np.ndarray) -> None:
+    """Zero each sample's rows of ``core`` beyond its left bond ``dims[i]``."""
+    if dims.min() < core.shape[1]:
+        core *= (np.arange(core.shape[1]) < dims[:, None])[:, :, None, None]
+
+
+def _trim_right(core: np.ndarray, dims: np.ndarray) -> None:
+    """Zero each sample's columns of ``core`` beyond its right bond ``dims[i]``."""
+    if dims.min() < core.shape[3]:
+        core *= (np.arange(core.shape[3]) < dims[:, None])[:, None, None, :]
+
+
+def _orthogonalize_left(st: MPSStack, j: int) -> None:
+    """Make core j left-orthogonal, moving its R factor into core j + 1."""
+    core, nxt = st.cores[j], st.cores[j + 1]
+    n, bl, d, br = core.shape
+    q, r = np.linalg.qr(core.reshape(n, bl * d, br))
+    st.bonds[:, j + 1] = np.minimum(d * st.bonds[:, j], st.bonds[:, j + 1])
+    k = st.bonds[:, j + 1].max()
+    st.cores[j] = q[:, :, :k].reshape(n, bl, d, k)
+    st.cores[j + 1] = (r[:, :k] @ nxt.reshape(n, br, -1)).reshape(n, k, d, -1)
+    _trim_right(st.cores[j], st.bonds[:, j + 1])
+    _trim_left(st.cores[j + 1], st.bonds[:, j + 1])
+
+
+def _orthogonalize_right(st: MPSStack, j: int) -> None:
+    """Make core j right-orthogonal, moving its R factor into core j - 1.
+
+    The QR runs on rows ordered (right bond, site), not (site, right bond),
+    so that padded rows trail and each sample's factors are leading blocks.
+    """
+    core, prev = st.cores[j], st.cores[j - 1]
+    n, bl, d, br = core.shape
+    q, r = np.linalg.qr(core.transpose(0, 3, 2, 1).reshape(n, br * d, bl))
+    st.bonds[:, j] = np.minimum(st.bonds[:, j], d * st.bonds[:, j + 1])
+    k = st.bonds[:, j].max()
+    st.cores[j] = q[:, :, :k].reshape(n, br, d, k).transpose(0, 3, 2, 1)
+    st.cores[j - 1] = (prev.reshape(n, -1, bl) @ r[:, :k].transpose(0, 2, 1)
+                       ).reshape(n, prev.shape[1], d, k)
+    _trim_left(st.cores[j], st.bonds[:, j])
+    _trim_right(st.cores[j - 1], st.bonds[:, j])
+
+
+def _canonicalize(st: MPSStack, center: int) -> None:
+    """Move every sample to mixed-canonical form centered at ``center``."""
+    if st.center is None:
+        for j in range(center):
+            _orthogonalize_left(st, j)
+        for j in range(len(st.cores) - 1, center, -1):
+            _orthogonalize_right(st, j)
+    elif st.center <= center:
+        for j in range(st.center, center):
+            _orthogonalize_left(st, j)
+    else:
+        for j in range(st.center, center, -1):
+            _orthogonalize_right(st, j)
+    st.center = center
+
+
+def _merge(st: MPSStack, j: int) -> np.ndarray:
+    """Cores j and j + 1 fused into blocks of shape (n, bl, 2, 2, br)."""
+    a, b = st.cores[j], st.cores[j + 1]
+    n, bl, d, bm = a.shape
+    return (a.reshape(n, bl * d, bm) @ b.reshape(n, bm, -1)).reshape(
+        n, bl, d, b.shape[2], b.shape[3])
+
+
+def _split(st: MPSStack, j: int, block: np.ndarray, delta: float,
+           chi_max: int | None) -> np.ndarray:
+    """Replace cores j, j + 1 with the truncated SVD factors of ``block``.
+
+    Each sample keeps the singular values >= ``delta``, at most ``chi_max``
+    and at most its own matrix size, but at least one; they are absorbed
+    into core j + 1, which becomes the center. Returns each sample's
+    truncation error (sum of squared discarded singular values).
+    """
+    n, bl, d, d2, br = block.shape
+    try:
+        u, s, vh = np.linalg.svd(block.reshape(n, bl * d, d2 * br), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed to converge on a stack of {n} "
+                           f"{bl * d}x{d2 * br} matrices") from exc
+    keep = np.count_nonzero(s >= delta, axis=1)
+    if chi_max is not None:
+        keep = np.minimum(keep, chi_max)
+    size = np.minimum(d * st.bonds[:, j], d2 * st.bonds[:, j + 2])
+    keep = np.maximum(np.minimum(keep, size), 1)
+    dropped = np.arange(s.shape[1]) >= keep[:, None]
+    err = np.sum(np.where(dropped, s, 0.0) ** 2, axis=1)
+    k = keep.max()
+    st.cores[j] = u[:, :, :k].reshape(n, bl, d, k)
+    st.cores[j + 1] = (s[:, :k, None] * vh[:, :k]).reshape(n, k, d2, br)
+    st.bonds[:, j + 1] = keep
+    st.center = j + 1
+    # Singular vectors of a padded matrix can reach into the padding where
+    # the sample's own singular values are zero; cut them back on every side.
+    _trim_left(st.cores[j], st.bonds[:, j])
+    _trim_right(st.cores[j], keep)
+    _trim_left(st.cores[j + 1], keep)
+    _trim_right(st.cores[j + 1], st.bonds[:, j + 2])
+    return err
+
+
+def _gate_matrix(gate: np.ndarray) -> np.ndarray:
     gate = np.asarray(gate, dtype=np.float64)
     if gate.shape != (4, 4):
         raise DimensionError(f"two-site gates must be 4x4, got {gate.shape}")
-    return gate.reshape(2, 2, 2, 2)
+    return gate
 
 
-def _apply_gate_adjacent(m: MPS, g4: np.ndarray, j: int, delta: float,
-                         chi_max: int | None) -> tuple[MPS, float]:
-    m = canonicalize(m, j)
-    b = merge_bond(m, j)
-    gated = np.einsum("lstr,stab->labr", b.value, g4)
-    return split_bond(m, BondTensor(gated, j), delta, chi_max, j + 1)
+def _apply_gate_adjacent(st: MPSStack, gate: np.ndarray, j: int, delta: float,
+                         chi_max: int | None) -> np.ndarray:
+    """Gate on the pair (j, j + 1) of every sample, then a truncated re-split."""
+    _canonicalize(st, j)
+    pair = _merge(st, j)
+    n, bl, _, _, br = pair.shape
+    gated = gate.T @ pair.reshape(n, bl, 4, br)
+    return _split(st, j, gated.reshape(n, bl, 2, 2, br), delta, chi_max)
 
 
-def _end_operator_pairs(g4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _end_operator_pairs(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor a two-site gate into per-end operator pairs.
 
     Returns arrays (r, 2, 2): entry r acts on one end as in->out, and the
     gate equals sum_r left_ops[r] (x) right_ops[r].
     """
-    k = g4.transpose(0, 2, 1, 3).reshape(4, 4)
+    k = gate.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     u, s, vh = np.linalg.svd(k)
     keep = s > 1e-14 * max(s[0], 1.0)
     root = np.sqrt(s[keep])
@@ -71,32 +239,63 @@ def _end_operator_pairs(g4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left_ops, right_ops
 
 
-def _block_diag_core(core: np.ndarray, k: int) -> np.ndarray:
-    dl, d, dr = core.shape
-    out = np.zeros((k * dl, d, k * dr))
-    for i in range(k):
-        out[i * dl:(i + 1) * dl, :, i * dr:(i + 1) * dr] = core
-    return out
+def _compress(st: MPSStack, delta: float, chi_max: int | None) -> np.ndarray:
+    """Reduce bond dimensions with one canonical left-to-right split sweep."""
+    _canonicalize(st, 0)
+    err = np.zeros(len(st.bonds))
+    for j in range(len(st.cores) - 1):
+        err += _split(st, j, _merge(st, j), delta, chi_max)
+    return err
 
 
-def _apply_gate_straddling(m: MPS, g4: np.ndarray, delta: float,
-                           chi_max: int | None) -> tuple[MPS, float]:
+def _apply_gate_straddling(st: MPSStack, gate: np.ndarray, delta: float,
+                           chi_max: int | None) -> np.ndarray:
     """Gate on the (last, first) pair: stack end operators, then recompress.
 
     A joint SVD re-split of the two end sites would thread a bond around the
-    whole loop, so instead the state becomes a sum over the gate's per-end
+    whole loop, so instead every state becomes a sum over the gate's per-end
     operator pairs (a block-diagonal bond enlargement) and one compression
-    sweep restores minimal bonds.
+    sweep restores minimal bonds. The enlarged bond index is (old bond,
+    operator pair), which keeps each sample's block leading.
     """
-    left_ops, right_ops = _end_operator_pairs(g4)
-    k = left_ops.shape[0]
-    first, last = m.cores[0], m.cores[-1]
-    new_first = np.concatenate(
-        [np.einsum("tb,ltr->lbr", q, first) for q in right_ops], axis=2)
-    new_last = np.concatenate(
-        [np.einsum("sa,lsr->lar", p, last) for p in left_ops], axis=0)
-    middles = [_block_diag_core(c, k) for c in m.cores[1:-1]]
-    return compress(MPS([new_first, *middles, new_last]), delta, chi_max)
+    left_ops, right_ops = _end_operator_pairs(gate)
+    k = len(left_ops)
+    cores = st.cores
+    n = len(st.bonds)
+    cores[0] = np.einsum("btu,nltr->nlurb", right_ops, cores[0]).reshape(n, 1, 2, -1)
+    for j in range(1, len(cores) - 1):
+        core = cores[j]
+        grown = np.zeros((n, core.shape[1], k, 2, core.shape[3], k))
+        for b in range(k):
+            grown[:, :, b, :, :, b] = core
+        cores[j] = grown.reshape(n, core.shape[1] * k, 2, core.shape[3] * k)
+    cores[-1] = np.einsum("bsa,nlsr->nlbar", left_ops, cores[-1]).reshape(n, -1, 2, 1)
+    st.bonds[:, 1:-1] *= k
+    st.center = None
+    return _compress(st, delta, chi_max)
+
+
+def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float,
+                      chi_max: int | None) -> np.ndarray:
+    """Apply ``gate`` to every pair (2i+1, 2i+2 mod N) of every sample.
+
+    Returns each sample's summed truncation error. The identity gate leaves
+    the stack untouched.
+    """
+    n_sites = len(st.cores)
+    if n_sites < 4 or n_sites % 2:
+        raise DimensionError(f"pair gates need an even chain of >= 4 sites, got {n_sites}")
+    if delta < 0:
+        raise ArgumentError("delta must be >= 0")
+    if chi_max is not None and chi_max < 1:
+        raise ArgumentError("chi_max must be >= 1")
+    gate = _gate_matrix(gate)
+    err = np.zeros(len(st.bonds))
+    if np.array_equal(gate, _IDENTITY4):
+        return err
+    for i in range(n_sites // 2 - 1):
+        err += _apply_gate_adjacent(st, gate, 2 * i + 1, delta, chi_max)
+    return err + _apply_gate_straddling(st, gate, delta, chi_max)
 
 
 def apply_pair_gates(m: MPS, gate: np.ndarray, delta: float,
@@ -104,52 +303,85 @@ def apply_pair_gates(m: MPS, gate: np.ndarray, delta: float,
     """Apply ``gate`` to every pair (2i+1, 2i+2 mod N), wrapping periodically.
 
     Returns the new state and the summed truncation error. The identity gate
-    short-circuits to the input.
+    short-circuits to an equal state.
     """
-    n = len(m)
-    if n < 4 or n % 2:
-        raise DimensionError(f"pair gates need an even chain of >= 4 sites, got {n}")
-    if any(d != 2 for d in m.site_dims):
-        raise DimensionError("pair gates expect site dimension 2 everywhere")
-    if np.array_equal(gate, _IDENTITY4):
-        return m, 0.0
-    g4 = _gate4(gate)
-    total = 0.0
-    out = m
-    for i in range(n // 2 - 1):
-        out, err = _apply_gate_adjacent(out, g4, 2 * i + 1, delta, chi_max)
-        total += err
-    out, err = _apply_gate_straddling(out, g4, delta, chi_max)
-    return out, total + err
+    _check_states([m], len(m))
+    st = MPSStack.from_states([m])
+    err = _apply_pair_gates(st, gate, delta, chi_max)
+    return st.states()[0], float(err[0])
 
 
-def apply_disentanglers(m: MPS, layer: WaveletMeraLayer,
-                        delta_data: float = 1e-12,
-                        chi_data: int | None = 16) -> MPS:
-    """Apply the layer's disentanglers to all odd pairs of ``m``."""
-    if len(m) != layer.n_sites_in:
-        raise DimensionError(f"layer expects {layer.n_sites_in} sites, state has {len(m)}")
-    out, _ = apply_pair_gates(m, layer.disentangler, delta_data, chi_data)
-    return out
-
-
-def apply_isometries(m: MPS, layer: WaveletMeraLayer) -> MPS:
-    """Contract every even pair (2i, 2i+1) into one coarse site."""
-    if len(m) != layer.n_sites_in:
-        raise DimensionError(f"layer expects {layer.n_sites_in} sites, state has {len(m)}")
-    if any(d != 2 for d in m.site_dims):
-        raise DimensionError("isometries expect site dimension 2 everywhere")
-    v3 = layer.isometry.reshape(2, 2, 2)  # (coarse, s, t)
+def apply_isometries(st: MPSStack, layer: WaveletMeraLayer) -> MPSStack:
+    """Contract every even pair (2i, 2i+1) of every sample into one coarse site."""
     cores = []
-    for i in range(len(m) // 2):
-        pair = np.tensordot(m.cores[2 * i], m.cores[2 * i + 1], axes=(2, 0))
-        cores.append(np.einsum("lstr,cst->lcr", pair, v3))
-    return MPS(cores)
+    for j in range(0, len(st.cores), 2):
+        pair = _merge(st, j)
+        n, bl, _, _, br = pair.shape
+        cores.append(layer.isometry @ pair.reshape(n, bl, 4, br))
+    return MPSStack(cores, st.bonds[:, ::2].copy())
+
+
+def _chunks(states: list[MPS], layer: WaveletMeraLayer,
+            chi_max: int | None) -> list[list[MPS]]:
+    """Consecutive runs of ``states`` whose wrap-enlarged stack fits _CHUNK_BYTES.
+
+    Adjacent gates can at most double an even cut relative to its odd
+    neighbours (capped at ``chi_max``) and leave odd cuts as they are; the
+    wrap gate then multiplies every interior bond by the gate's operator
+    rank.
+    """
+    rank = len(_end_operator_pairs(_gate_matrix(layer.disentangler))[0])
+    bonds = np.array([s.bond_dims for s in states])
+    grown = bonds.copy()
+    grown[:, 2:-1:2] = 2 * np.minimum(bonds[:, 1:-2:2], bonds[:, 3::2])
+    if chi_max is not None:
+        grown[:, 2:-1:2] = np.minimum(grown[:, 2:-1:2], chi_max)
+    grown[:, 1:-1] *= rank
+    chunks, start = [], 0
+    extent = grown[0]
+    for i in range(1, len(states)):
+        wider = np.maximum(extent, grown[i])
+        if (i - start + 1) * 16 * int(wider[:-1] @ wider[1:]) > _CHUNK_BYTES:
+            chunks.append(states[start:i])
+            start, wider = i, grown[i]
+        extent = wider
+    chunks.append(states[start:])
+    return chunks
+
+
+def _layer_states(states: list[MPS], layer: WaveletMeraLayer, delta: float,
+                  chi_max: int | None) -> list[MPS]:
+    """Every state one layer coarser, chunk by chunk."""
+    _check_states(states, layer.n_sites_in)
+    out: list[MPS] = []
+    for chunk in _chunks(states, layer, chi_max):
+        st = MPSStack.from_states(chunk)
+        _apply_pair_gates(st, layer.disentangler, delta, chi_max)
+        out.extend(apply_isometries(st, layer).states())
+    return out
 
 
 def apply_layer(m: MPS, layer: WaveletMeraLayer, delta_data: float = 1e-12,
                 chi_data: int | None = 16) -> MPS:
-    return apply_isometries(apply_disentanglers(m, layer, delta_data, chi_data), layer)
+    return _layer_states([m], layer, delta_data, chi_data)[0]
+
+
+def _ladder(states: list[MPS], n_layers: int, delta_data: float,
+            chi_data: int | None) -> list[list[MPS]]:
+    n_sites = len(states[0])
+    if n_layers < 0:
+        raise ArgumentError("n_layers must be >= 0")
+    if n_layers:
+        if n_sites % (1 << n_layers):
+            raise ArgumentError(f"{n_sites} sites not divisible by 2**{n_layers}")
+        if n_sites >> (n_layers - 1) < 4:
+            raise ArgumentError(f"{n_layers} layers on {n_sites} sites would leave "
+                                "fewer than two coarse sites")
+    scales = [states]
+    for _ in range(n_layers):
+        layer = build_daub4_layer(len(scales[-1][0]))
+        scales.append(_layer_states(scales[-1], layer, delta_data, chi_data))
+    return scales
 
 
 def coarse_grain_sample(m: MPS, n_layers: int, delta_data: float = 1e-12,
@@ -159,20 +391,7 @@ def coarse_grain_sample(m: MPS, n_layers: int, delta_data: float = 1e-12,
     The chain length must be divisible by 2**n_layers and the coarsest chain
     must keep at least two sites.
     """
-    n = len(m)
-    if n_layers < 0:
-        raise ArgumentError("n_layers must be >= 0")
-    if n_layers:
-        if n % (1 << n_layers):
-            raise ArgumentError(f"{n} sites not divisible by 2**{n_layers}")
-        if n >> (n_layers - 1) < 4:
-            raise ArgumentError(f"{n_layers} layers on {n} sites would leave "
-                                "fewer than two coarse sites")
-    scales = [m]
-    for _ in range(n_layers):
-        layer = build_daub4_layer(len(scales[-1]))
-        scales.append(apply_layer(scales[-1], layer, delta_data, chi_data))
-    return scales
+    return [scale[0] for scale in _ladder([m], n_layers, delta_data, chi_data)]
 
 
 def single_particle_response(layer: WaveletMeraLayer, n: int | None = None) -> np.ndarray:
@@ -190,12 +409,13 @@ def single_particle_response(layer: WaveletMeraLayer, n: int | None = None) -> n
     excited = np.array([0.0, 1.0])
     probes = [product_state([excited if i == k else ground for i in range(n // 2)])
               for k in range(n // 2)]
+    fines = [product_state([excited if i == j else ground for i in range(n)])
+             for j in range(n)]
+    coarse = _layer_states(fines, layer, 0.0, None)
     resp = np.zeros((n // 2, n))
     for j in range(n):
-        fine = product_state([excited if i == j else ground for i in range(n)])
-        coarse = apply_layer(fine, layer, 0.0, None)
         for k, probe in enumerate(probes):
-            resp[k, j] = inner(probe, coarse)
+            resp[k, j] = inner(probe, coarse[j])
     return resp
 
 
@@ -249,19 +469,16 @@ class ScaleCache:
 
 def coarse_grain_dataset(samples: list[MPS], labels, n_layers: int,
                          delta_data: float = 1e-12, chi_data: int | None = 16,
-                         threads: int = 1, fingerprint: str = "") -> ScaleCache:
+                         fingerprint: str = "") -> ScaleCache:
     """Coarse-grain every sample through n_layers and collect the ladder."""
     labels = np.asarray(labels, dtype=np.float64)
     if not samples:
         raise ArgumentError("empty dataset")
     if len(labels) != len(samples):
         raise DimensionError("labels must be one scalar per sample")
-    ladders = thread_map(
-        lambda s: coarse_grain_sample(s, n_layers, delta_data, chi_data),
-        samples, threads)
-    scales = [ScaleData([lad[level] for lad in ladders], labels.copy())
-              for level in range(n_layers + 1)]
-    return ScaleCache(scales, delta_data, chi_data, fingerprint)
+    scales = _ladder(list(samples), n_layers, delta_data, chi_data)
+    return ScaleCache([ScaleData(states, labels.copy()) for states in scales],
+                      delta_data, chi_data, fingerprint)
 
 
 # On-disk layout: manifest.json plus one binary file per scale holding the
@@ -271,8 +488,16 @@ _CACHE_VERSION = 1
 
 
 def save_cache(cache: ScaleCache, directory) -> None:
+    """Write the scale files, then the manifest that vouches for them.
+
+    An existing manifest is removed first and the new one is moved into
+    place only after every scale file is written, so an interrupted save
+    leaves no manifest and the next load fails with StateError.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    manifest_path = directory / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     scales_meta = []
     for level, sd in enumerate(cache.scales):
         name = f"scale_{level:03d}.bin"
@@ -295,9 +520,11 @@ def save_cache(cache: ScaleCache, directory) -> None:
         "labels": [float(y) for y in cache.scales[0].labels],
         "scales": scales_meta,
     }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as f:
+    partial = directory / "manifest.json.partial"
+    with open(partial, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
+    os.replace(partial, manifest_path)
 
 
 def read_cache_manifest(directory) -> dict:

@@ -46,6 +46,15 @@ class MPS:
         self.cores = cores
         self.ortho_center = ortho_center
 
+    @classmethod
+    def _from_valid(cls, cores: list[np.ndarray], ortho_center: int | None = None) -> "MPS":
+        """Unchecked constructor for internal operations whose float64 cores
+        already satisfy every invariant ``__init__`` checks."""
+        m = cls.__new__(cls)
+        m.cores = cores
+        m.ortho_center = ortho_center
+        return m
+
     def __len__(self) -> int:
         return len(self.cores)
 
@@ -63,7 +72,7 @@ class MPS:
         return max(self.bond_dims)
 
     def copy(self) -> "MPS":
-        return MPS([c.copy() for c in self.cores], self.ortho_center)
+        return MPS._from_valid([c.copy() for c in self.cores], self.ortho_center)
 
     def to_dense(self) -> np.ndarray:
         """Contract everything into an order-N array. Exponential; test scale only."""
@@ -145,7 +154,7 @@ def canonicalize(m: MPS, center: int) -> MPS:
         _left_orthogonalize(cores, m.ortho_center, center)
     else:
         _right_orthogonalize(cores, m.ortho_center, center)
-    return MPS(cores, ortho_center=center)
+    return MPS._from_valid(cores, ortho_center=center)
 
 
 def merge_bond(m: MPS, j: int) -> BondTensor:
@@ -192,17 +201,7 @@ def split_bond(m: MPS, b: BondTensor, delta: float, chi_max: int | None,
     cores = list(m.cores)
     cores[j] = left
     cores[j + 1] = right
-    return MPS(cores, ortho_center=new_center), res.truncation_error
-
-
-def compress(m: MPS, delta: float, chi_max: int | None) -> tuple[MPS, float]:
-    """Reduce bond dimensions with one canonical left-to-right split sweep."""
-    out = canonicalize(m, 0)
-    total = 0.0
-    for j in range(len(out) - 1):
-        out, err = split_bond(out, merge_bond(out, j), delta, chi_max, j + 1)
-        total += err
-    return out, total
+    return MPS._from_valid(cores, ortho_center=new_center), res.truncation_error
 
 
 # Model file layout: magic, format version (u32), core count (u32), cores.

@@ -6,8 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+import wmera.coarsegrain
 from wmera.cli import CACHE_ENV_VAR, build_parser, main, parse_kv_file, resolve_config
-from wmera.errors import ArgumentError
+from wmera.coarsegrain import load_cache
+from wmera.errors import ArgumentError, StateError
 
 
 def write_wav(path, values):
@@ -210,6 +212,29 @@ class TestExitCodes:
         victim.write_bytes(bytes(blob))
         assert run_cli("train", "--config", cfg_path) == 3
 
+    @pytest.mark.parametrize("key, built, changed", [("chi_data", "8", "2"),
+                                                     ("n_d4_layers", "1", "2")])
+    def test_train_on_stale_cache_exits_5(self, tmp_path, capsys, key, built, changed):
+        cfg_path = classification_workspace(tmp_path)
+        text = cfg_path.read_text()
+        cfg_path.write_text(text + f"{key} = {built}\n")
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        cfg_path.write_text(text + f"{key} = {changed}\n")
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "wmera preprocess" in err
+
+    def test_eval_on_stale_cache_exits_5(self, tmp_path, capsys):
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert run_cli("train", "--config", cfg_path) == 0
+        cfg_path.write_text(cfg_path.read_text().replace("chi_data = 8", "chi_data = 2"))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg_path) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "wmera preprocess" in err
+
 
 class TestPreprocess:
     def test_builds_then_reuses_cache(self, tmp_path, capsys):
@@ -231,6 +256,45 @@ class TestPreprocess:
         write_wav(tmp_path / "data" / "s00.wav", np.full(16, 0.9))
         assert run_cli("preprocess", "--config", cfg_path) == 0
         assert "building cache" in capsys.readouterr().out
+
+    def test_interrupted_build_is_rebuilt(self, tmp_path, capsys, monkeypatch):
+        """A save that fails on the second scale file leaves no manifest, so
+        the half-written cache is never loaded and the next run rebuilds it."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        write = wmera.coarsegrain.write_mps_record
+
+        def failing_write(stream, m):
+            if stream.name.endswith("scale_001.bin"):
+                raise OSError("disk full")
+            write(stream, m)
+
+        monkeypatch.setattr(wmera.coarsegrain, "write_mps_record", failing_write)
+        write_wav(tmp_path / "data" / "s00.wav", np.full(16, 0.9))
+        with pytest.raises(OSError):
+            run_cli("preprocess", "--config", cfg_path)
+        with pytest.raises(StateError):
+            load_cache(tmp_path / "out" / "cache" / "train")
+        assert run_cli("train", "--config", cfg_path) == 5
+
+        monkeypatch.setattr(wmera.coarsegrain, "write_mps_record", write)
+        capsys.readouterr()
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert "building cache" in capsys.readouterr().out
+        assert run_cli("train", "--config", cfg_path) == 0
+
+    def test_dropped_test_split_is_removed(self, tmp_path, capsys):
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["samples"]:
+            entry["split"] = "train"
+        manifest_path.write_text(json.dumps(manifest))
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert not (tmp_path / "out" / "cache" / "test").exists()
+        assert run_cli("eval", "--config", cfg_path) == 5  # no model yet, cache accepted
+        assert "no trained model" in capsys.readouterr().err
 
     def test_snapshot_lists_resolved_settings(self, tmp_path):
         cfg_path = classification_workspace(tmp_path)

@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthdata import random_mps, random_product_state
 from wmera.coarsegrain import (
+    MPSStack,
     ScaleCache,
     ScaleData,
-    apply_isometries,
+    _compress,
     apply_layer,
     apply_pair_gates,
     coarse_grain_dataset,
@@ -19,7 +22,7 @@ from wmera.coarsegrain import (
     single_particle_response,
 )
 from wmera.errors import ArgumentError, DataError, DimensionError, FormatError, StateError
-from wmera.mps import product_state
+from wmera.mps import MPS, BondTensor, canonicalize, inner, merge_bond, product_state, split_bond
 from wmera.wavelet import build_daub4_layer, build_haar_layer, daub4_from_angles, DAUB4_ANGLES
 
 
@@ -40,6 +43,42 @@ def dense_layer_oracle(vec: np.ndarray, layer, n: int) -> np.ndarray:
         psi = np.tensordot(layer.isometry, psi, axes=(1, i))
         psi = np.moveaxis(psi, 0, i)
     return psi.ravel()
+
+
+def reference_layer(m: MPS, layer, delta: float, chi) -> MPS:
+    """One layer applied gate by gate with the MPS primitives, one state at
+    a time: the reference the stacked kernel must reproduce, truncation
+    included."""
+    n = len(m)
+    g4 = layer.disentangler.reshape(2, 2, 2, 2)
+    for j in range(1, n - 2, 2):
+        m = canonicalize(m, j)
+        gated = np.einsum("lstr,stab->labr", merge_bond(m, j).value, g4)
+        m, _ = split_bond(m, BondTensor(gated, j), delta, chi, j + 1)
+    # wrap gate: a sum over per-end operator pairs, block-diagonal in between
+    u, s, vh = np.linalg.svd(g4.transpose(0, 2, 1, 3).reshape(4, 4))
+    keep = s > 1e-14
+    left_ops = (u[:, keep] * np.sqrt(s[keep])).T.reshape(-1, 2, 2)
+    right_ops = (np.sqrt(s[keep])[:, None] * vh[keep]).reshape(-1, 2, 2)
+    eye = np.eye(len(left_ops))
+    cores = [np.concatenate([np.einsum("tb,ltr->lbr", q, m.cores[0]) for q in right_ops],
+                            axis=2)]
+    cores += [np.einsum("bc,lsr->blscr", eye, c).reshape(len(eye) * c.shape[0], 2, -1)
+              for c in m.cores[1:-1]]
+    cores.append(np.concatenate([np.einsum("sa,lsr->lar", p, m.cores[-1]) for p in left_ops],
+                                axis=0))
+    m = canonicalize(MPS(cores), 0)
+    for j in range(n - 1):
+        m, _ = split_bond(m, merge_bond(m, j), delta, chi, j + 1)
+    v3 = layer.isometry.reshape(2, 2, 2)
+    return MPS([np.einsum("lstr,cst->lcr",
+                          np.tensordot(m.cores[2 * i], m.cores[2 * i + 1], axes=(2, 0)), v3)
+                for i in range(n // 2)])
+
+
+def relative_sq_distance(a: MPS, b: MPS) -> float:
+    aa, bb = inner(a, a), inner(b, b)
+    return (aa + bb - 2.0 * inner(a, b)) / aa
 
 
 class TestSingleParticleResponse:
@@ -159,18 +198,80 @@ class TestLadder:
         rng = np.random.default_rng(28)
         m = random_product_state(8, rng)
         with pytest.raises(DimensionError):
-            apply_isometries(m, build_haar_layer(16))
+            apply_layer(m, build_haar_layer(16))
 
-    def test_dataset_thread_count_does_not_change_results(self):
+    def test_dataset_is_deterministic(self):
+        """Two runs on one mixed batch give bitwise-equal cores."""
         rng = np.random.default_rng(29)
-        samples = [random_product_state(8, rng) for _ in range(6)]
-        ys = np.arange(6.0)
-        a = coarse_grain_dataset(samples, ys, 1, 1e-12, 16, threads=1)
-        b = coarse_grain_dataset(samples, ys, 1, 1e-12, 16, threads=3)
+        samples = ([random_product_state(8, rng) for _ in range(4)]
+                   + [random_mps(8, 3, rng) for _ in range(3)])
+        ys = np.arange(7.0)
+        a = coarse_grain_dataset(samples, ys, 2, 1e-12, 3)
+        b = coarse_grain_dataset(samples, ys, 2, 1e-12, 3)
         for sa, sb in zip(a.scales, b.scales):
             for ma, mb in zip(sa.samples, sb.samples):
+                assert len(ma.cores) == len(mb.cores)
                 for ca, cb in zip(ma.cores, mb.cores):
                     np.testing.assert_array_equal(ca, cb)
+
+
+def mixed_batch(seed: int, n_sites: int, n_products: int, n_random: int) -> list[MPS]:
+    """Product states with some zero features, then random chains of bond 1-3
+    with norms between 1e-13 and 1, so their ranks differ from sample to
+    sample and an absolute ``delta`` cuts each spectrum in a different place."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for _ in range(n_products):
+        x = rng.uniform(0.0, 1.0, n_sites) * (rng.uniform(size=n_sites) < 0.6)
+        batch.append(product_state([np.array([1.0, v]) for v in x]))
+    for _ in range(n_random):
+        m = random_mps(n_sites, int(rng.integers(1, 4)), rng)
+        scale = (10.0 ** rng.uniform(-13.0, 0.0) / np.sqrt(inner(m, m))) ** (1.0 / n_sites)
+        batch.append(MPS([c * scale for c in m.cores]))
+    return batch
+
+
+class TestStackedKernel:
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_sites=st.sampled_from([4, 8]),
+           two_layers=st.booleans(), n_products=st.integers(0, 4),
+           n_random=st.integers(0, 4), delta=st.sampled_from([0.0, 1e-12]),
+           chi=st.sampled_from([None, 1, 2, 3, 16]))
+    def test_batch_matches_each_sample_alone(self, seed, n_sites, two_layers, n_products,
+                                             n_random, delta, chi):
+        """Every sample of a mixed batch gets the bonds and state that the
+        kernel gives it alone, and that the gate-by-gate reference gives."""
+        batch = mixed_batch(seed, n_sites, n_products, n_random)
+        if not batch:
+            batch = mixed_batch(seed, n_sites, 1, 0)
+        n_layers = 2 if two_layers and n_sites == 8 else 1
+        cache = coarse_grain_dataset(batch, np.zeros(len(batch)), n_layers, delta, chi)
+        for i, x in enumerate(batch):
+            alone = coarse_grain_sample(x, n_layers, delta, chi)
+            ref = x
+            for level in range(1, n_layers + 1):
+                ref = reference_layer(ref, build_daub4_layer(len(ref)), delta, chi)
+                got = cache.scales[level].samples[i]
+                assert got.bond_dims == alone[level].bond_dims == ref.bond_dims
+                assert relative_sq_distance(got, alone[level]) <= 1e-12
+                assert relative_sq_distance(got, ref) <= 1e-12
+
+    def test_compress_reduces_padded_bonds(self):
+        rng = np.random.default_rng(10)
+        base = random_product_state(6, rng)
+        padded_cores = []
+        for core in base.cores:
+            grown = np.zeros((core.shape[0] * 2, 2, core.shape[2] * 2))
+            grown[: core.shape[0], :, : core.shape[2]] = core
+            padded_cores.append(grown)
+        padded_cores[0] = padded_cores[0][:1]
+        padded_cores[-1] = padded_cores[-1][:, :, :1]
+        stack = MPSStack.from_states([MPS(padded_cores)])
+        err = _compress(stack, 1e-12, None)
+        out = stack.states()[0]
+        assert out.max_bond == 1
+        assert err[0] < 1e-20
+        np.testing.assert_allclose(out.to_dense(), base.to_dense(), atol=1e-12)
 
 
 class TestCachePersistence:

@@ -165,11 +165,10 @@ class TestMultiscaleSchedule:
         assert self.metrics(out) == [(2, 0), (1, 0), (1, 1), (0, 0), (0, 1), (0, 2)]
 
     def test_uncached_scale_is_rejected(self, tmp_path, capsys):
-        """A cache built with fewer layers has no scale 2 to start from."""
+        """A cache built with one layer has no scale 2 to start from."""
         cfg_path = classification_workspace(tmp_path)
         assert run_cli("preprocess", "--config", cfg_path) == 0
-        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2"))
-        assert run_cli("train", "--config", cfg_path) == 2
+        assert run_cli("train", "--config", cfg_path, "--scale", "2") == 2
         assert "not in cache" in capsys.readouterr().err
 
     def test_backwards_scale_range_is_rejected(self, tmp_path, capsys):

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from synthdata import random_mps, random_product_state
+from synthdata import random_mps
 from wmera.errors import DimensionError, FormatError, StateError
 from wmera.mps import (
     MPS,
     canonicalize,
-    compress,
     inner,
     load_mps,
     merge_bond,
@@ -132,22 +131,6 @@ class TestMergeSplit:
         left, _ = split_bond(m, b, 0.0, None, new_center=2)
         a = left.cores[3].reshape(left.cores[3].shape[0], -1)
         np.testing.assert_allclose(a @ a.T, np.eye(a.shape[0]), atol=1e-12)
-
-    def test_compress_reduces_padded_bonds(self):
-        rng = np.random.default_rng(10)
-        base = random_product_state(6, rng)
-        padded_cores = []
-        for core in base.cores:
-            grown = np.zeros((core.shape[0] * 2, 2, core.shape[2] * 2))
-            grown[: core.shape[0], :, : core.shape[2]] = core
-            padded_cores.append(grown)
-        padded_cores[0] = padded_cores[0][:1]
-        padded_cores[-1] = padded_cores[-1][:, :, :1]
-        padded = MPS(padded_cores)
-        out, err = compress(padded, 1e-12, None)
-        assert out.max_bond == 1
-        assert err < 1e-20
-        np.testing.assert_allclose(out.to_dense(), base.to_dense(), atol=1e-12)
 
 
 class TestModelFiles:
