@@ -379,24 +379,35 @@ def write_snapshot(cfg: PipelineConfig, extra: dict | None = None) -> None:
     (cfg.output / "config.snapshot").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _metrics_writer(path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = open(path, "w", encoding="utf-8")
+def _metric_lines(scale: int, stats_list) -> str:
+    """One JSON line per sweep; deterministic fields only, no wall times."""
+    return "".join(json.dumps({
+        "scale": scale,
+        "sweep": st.sweep_index,
+        "cost": st.cost,
+        "max_bond": st.max_bond,
+        "train_metric": st.train_metric,
+        "truncated_weight": st.truncated_weight,
+        "rollbacks": st.rollbacks,
+        "cg_iters": st.cg_iters,
+    }, sort_keys=True) + "\n" for st in stats_list)
 
-    def emit(scale: int, stats_list) -> None:
-        for st in stats_list:
-            record = {
-                "scale": scale,
-                "sweep": st.sweep_index,
-                "cost": st.cost,
-                "max_bond": st.max_bond,
-                "train_metric": st.train_metric,
-                "truncated_weight": st.truncated_weight,
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
 
-    return handle, emit
+def _replace_scale_metrics(path: Path, scale: int, stats_list) -> None:
+    """Swap the records of ``scale`` in ``path`` for new ones and keep every
+    other scale's; the file is replaced whole, so a crash leaves the old one."""
+    kept = ""
+    if path.is_file():
+        for line in path.read_text(encoding="utf-8").splitlines():
+            try:
+                old = json.loads(line)["scale"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path}: unreadable metrics record ({exc})") from exc
+            if old != scale:
+                kept += line + "\n"
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(kept + _metric_lines(scale, stats_list), encoding="utf-8")
+    os.replace(partial, path)
 
 
 def _model_path(cfg: PipelineConfig, scale: int, init: bool = False) -> Path:
@@ -430,14 +441,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     w0 = None
     if args.init is not None:
         w0 = load_mps(args.init)
-    tc = cfg.train_config(scale)
-    handle, emit = _metrics_writer(cfg.output / "metrics.jsonl")
-    try:
-        w, stats = train(train_cache.scales[scale], tc, w0=w0, task=cfg.task,
-                         threads=cfg.threads)
-        emit(scale, stats)
-    finally:
-        handle.close()
+    w, stats = train(train_cache.scales[scale], cfg.train_config(scale), w0=w0, task=cfg.task)
+    _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats)
     save_mps(_model_path(cfg, scale), w)
     print(f"scale {scale}: cost {stats[-1].cost:.6g}, "
           f"train_metric {stats[-1].train_metric:.6g} -> {_model_path(cfg, scale)}")
@@ -488,26 +493,25 @@ def _eval_report(cfg, w, scale, train_cache, test_cache) -> dict:
 def cmd_pipeline(cfg: PipelineConfig, args) -> int:
     write_snapshot(cfg)
     train_cache, test_cache = ensure_cache(cfg)
-    handle, emit = _metrics_writer(cfg.output / "metrics.jsonl")
     summary = []
     w = None
-    try:
-        for scale in range(cfg.n_d4_layers, cfg.fine_grain_to - 1, -1):
-            if w is not None:
-                w, _ = _fine_grain(cfg, w, scale)
-            w, stats = train(train_cache.scales[scale], cfg.train_config(scale), w0=w,
-                             task=cfg.task, threads=cfg.threads)
-            emit(scale, stats)
-            save_mps(_model_path(cfg, scale), w)
-            report = _eval_report(cfg, w, scale, train_cache, test_cache)
-            report["final_cost"] = stats[-1].cost
-            report["model_file"] = _model_path(cfg, scale).name
-            summary.append(report)
-            print(f"scale {scale}: train_metric {report['train_metric']:.6g}"
-                  + (f", test_metric {report['test_metric']:.6g}"
-                     if report["test_metric"] is not None else ""))
-    finally:
-        handle.close()
+    for scale in range(cfg.n_d4_layers, cfg.fine_grain_to - 1, -1):
+        if w is not None:
+            w, _ = _fine_grain(cfg, w, scale)
+        w, stats = train(train_cache.scales[scale], cfg.train_config(scale), w0=w,
+                         task=cfg.task)
+        _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats)
+        save_mps(_model_path(cfg, scale), w)
+        report = _eval_report(cfg, w, scale, train_cache, test_cache)
+        report["final_cost"] = stats[-1].cost
+        report["model_file"] = _model_path(cfg, scale).name
+        summary.append(report)
+        for cache in (train_cache, test_cache):
+            if cache is not None:
+                cache.scales[scale].release_stack()  # free a finished scale's stacks
+        print(f"scale {scale}: train_metric {report['train_metric']:.6g}"
+              + (f", test_metric {report['test_metric']:.6g}"
+                 if report["test_metric"] is not None else ""))
     payload = {"task": cfg.task, "scales": summary}
     (cfg.output / "summary.json").write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
@@ -540,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key = value configuration file")
         p.add_argument("--output", help="override the output directory")
         p.add_argument("--threads", type=int,
-                       help="worker threads for per-sample training work")
+                       help="accepted and recorded in config.snapshot; no longer "
+                            "changes any work (training is batched over samples)")
         p.add_argument("--seed", type=int, help="override the training seed")
         if name in ("train", "finegrain", "eval"):
             p.add_argument("--scale", type=int, help="scale index (default: coarsest)")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,7 @@ _CHUNK_BYTES = 4 << 20
 class MPSStack:
     """n chains of one length, stacked per site and zero-padded.
 
-    ``cores[j]`` has shape (n, bl, 2, br) and sample i's own core is the
+    ``cores[j]`` has shape (n, bl, d, br) and sample i's own core is the
     leading block ``cores[j][i, :bonds[i, j], :, :bonds[i, j + 1]]``; every
     entry outside it is zero, so padding trails every bond and a QR or SVD
     of the padded matrix contains each sample's own factors. ``bonds`` is
@@ -77,11 +77,11 @@ class MPSStack:
 
     @classmethod
     def from_states(cls, states: list[MPS]) -> "MPSStack":
-        """Stack states that passed :func:`_check_states`."""
+        """Stack states of one length whose site dimensions agree site by site."""
         bonds = np.array([s.bond_dims for s in states])
         cores = []
-        for j in range(len(states[0])):
-            stacked = np.zeros((len(states), bonds[:, j].max(), 2, bonds[:, j + 1].max()))
+        for j, d in enumerate(states[0].site_dims):
+            stacked = np.zeros((len(states), bonds[:, j].max(), d, bonds[:, j + 1].max()))
             for i, s in enumerate(states):
                 core = s.cores[j]
                 stacked[i, :core.shape[0], :, :core.shape[2]] = core
@@ -421,10 +421,16 @@ def single_particle_response(layer: WaveletMeraLayer, n: int | None = None) -> n
 
 @dataclass
 class ScaleData:
-    """Samples and labels at one coarse-graining depth."""
+    """Samples and labels at one coarse-graining depth.
+
+    ``stack`` holds the samples as one :class:`MPSStack`, built on first use
+    and shared by everything that contracts the data (training, outputs,
+    evaluation) until :meth:`release_stack` drops it.
+    """
 
     samples: list[MPS]
     labels: np.ndarray
+    _stack: MPSStack | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.float64)
@@ -442,6 +448,18 @@ class ScaleData:
     @property
     def n_sites(self) -> int:
         return len(self.samples[0]) if self.samples else 0
+
+    @property
+    def stack(self) -> MPSStack:
+        if self._stack is None:
+            dims = self.samples[0].site_dims
+            if any(s.site_dims != dims for s in self.samples):
+                raise DimensionError("samples at one scale must share site dimensions")
+            self._stack = MPSStack.from_states(self.samples)
+        return self._stack
+
+    def release_stack(self) -> None:
+        self._stack = None
 
 
 @dataclass

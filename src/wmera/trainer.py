@@ -8,8 +8,13 @@ training minimizes the ridge-regularized quadratic cost
 Each bond update merges two weight cores into a block, solves the local
 least-squares problem with conjugate gradient on the normal equations, and
 re-splits with a truncated SVD, absorbing the singular values toward the
-next bond. Per-sample environment stacks keep one full sweep linear in the
-chain length.
+next bond. Environment stacks keep one full sweep linear in the chain
+length.
+
+Every contraction with the data is batched over samples on the scale's
+zero-padded ``ScaleData.stack``: each environment step, window matrix and
+output pass is one chain of batched matmuls, exact because padding is zero.
+No work runs on worker threads.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .coarsegrain import ScaleData
+from .coarsegrain import MPSStack, ScaleData
 from .errors import ArgumentError, DimensionError, NumericError, StateError
 from .mps import MPS, BondTensor, canonicalize, inner, merge_bond, split_bond
-from .util import chunk_ranges, thread_map
 
 
 @dataclass
@@ -64,7 +68,11 @@ class TrainConfig:
 
 @dataclass
 class SweepStats:
-    """Telemetry for one pass (or one full sweep, when emitted by train)."""
+    """Telemetry for one pass (or one full sweep, when emitted by train).
+
+    ``rollbacks`` counts bond updates that re-split the original block after
+    truncation raised the window cost; ``cg_iters`` sums their CG steps.
+    """
 
     sweep_index: int
     cost: float
@@ -72,6 +80,8 @@ class SweepStats:
     train_metric: float
     wall_time: float
     truncated_weight: float = 0.0
+    rollbacks: int = 0
+    cg_iters: int = 0
 
 
 @dataclass
@@ -87,127 +97,99 @@ class SweepEvent:
 
 
 class Environment:
-    """Per-sample partial contractions of the weight chain with every sample.
+    """Partial contractions of the weight chain with every sample at once.
 
-    ``left[s][j]`` contracts sites < j and ``right[s][j]`` contracts sites
-    >= j, both as (weight bond, sample bond) matrices. Stacks are refreshed
-    lazily in the direction a sweep consumes them.
+    ``left[j]`` contracts sites < j and ``right[j]`` contracts sites >= j,
+    each as an (n, weight bond, sample bond) array over the scale's stacked
+    samples, whose sample bonds carry trailing zero padding. Stacks are
+    refreshed lazily in the direction a sweep consumes them.
     """
 
-    def __init__(self, w: MPS, data: ScaleData, threads: int = 1):
-        if data.n_samples == 0:
-            raise ArgumentError("empty dataset")
-        if data.n_sites != len(w):
-            raise DimensionError(f"weights cover {len(w)} sites, samples {data.n_sites}")
-        for x in data.samples:
-            if x.site_dims != w.site_dims:
-                raise DimensionError("sample site dimensions do not match the weights")
+    def __init__(self, w: MPS, data: ScaleData):
+        self.stack = _data_stack(w, data)
         self.data = data
-        self.threads = threads
         self.n_sites = len(w)
-        n = data.n_samples
-        edge = np.ones((1, 1))
-        self.left = [[None] * (self.n_sites + 1) for _ in range(n)]
-        self.right = [[None] * (self.n_sites + 1) for _ in range(n)]
-        for s in range(n):
-            self.left[s][0] = edge
-            self.right[s][self.n_sites] = edge
-
-    def _foreach_sample(self, fn: Callable[[int], None]) -> None:
-        if self.threads <= 1:
-            for s in range(self.data.n_samples):
-                fn(s)
-            return
-
-        def run(rng):
-            for s in rng:
-                fn(s)
-
-        thread_map(run, chunk_ranges(self.data.n_samples, self.threads), self.threads)
+        edge = np.ones((data.n_samples, 1, 1))
+        self.left: list[np.ndarray | None] = [None] * (self.n_sites + 1)
+        self.right: list[np.ndarray | None] = [None] * (self.n_sites + 1)
+        self.left[0] = edge
+        self.right[self.n_sites] = edge
 
     def refresh_right(self, w: MPS, down_to: int = 1) -> None:
-        """Recompute right[s][j] for all j >= down_to from the current cores."""
-        def fill(s):
-            x = self.data.samples[s]
-            for j in range(self.n_sites - 1, down_to - 1, -1):
-                self.right[s][j] = _step_right(w.cores[j], x.cores[j], self.right[s][j + 1])
-
-        self._foreach_sample(fill)
+        """Recompute right[j] for all j >= down_to from the current cores."""
+        for j in range(self.n_sites - 1, down_to - 1, -1):
+            self.right[j] = _extend_right(w.cores[j], self.stack.cores[j], self.right[j + 1])
 
     def refresh_left(self, w: MPS, up_to: int | None = None) -> None:
-        """Recompute left[s][j] for all j <= up_to from the current cores."""
+        """Recompute left[j] for all j <= up_to from the current cores."""
         if up_to is None:
             up_to = self.n_sites - 1
-
-        def fill(s):
-            x = self.data.samples[s]
-            for j in range(up_to):
-                self.left[s][j + 1] = _step_left(self.left[s][j], w.cores[j], x.cores[j])
-
-        self._foreach_sample(fill)
+        for j in range(up_to):
+            self.left[j + 1] = _extend_left(self.left[j], w.cores[j], self.stack.cores[j])
 
     def advance_left(self, w: MPS, j: int) -> None:
-        """Update left[s][j+1] after core j changed during a rightward pass."""
-        def fill(s):
-            self.left[s][j + 1] = _step_left(self.left[s][j], w.cores[j],
-                                             self.data.samples[s].cores[j])
-
-        self._foreach_sample(fill)
+        """Update left[j+1] after core j changed during a rightward pass."""
+        self.left[j + 1] = _extend_left(self.left[j], w.cores[j], self.stack.cores[j])
 
     def advance_right(self, w: MPS, j: int) -> None:
-        """Update right[s][j] after core j changed during a leftward pass."""
-        def fill(s):
-            self.right[s][j] = _step_right(w.cores[j], self.data.samples[s].cores[j],
-                                           self.right[s][j + 1])
-
-        self._foreach_sample(fill)
+        """Update right[j] after core j changed during a leftward pass."""
+        self.right[j] = _extend_right(w.cores[j], self.stack.cores[j], self.right[j + 1])
 
     def window_matrix(self, j: int) -> np.ndarray:
-        """Stack each sample's projection into the (j, j+1) window.
+        """Every sample's projection into the (j, j+1) window, one row each.
 
         Row s flattens a (left bond, site, site, right bond) tensor in the
         same order as BondTensor.value.ravel(), so ``rows @ b.ravel()`` are
         the model outputs.
         """
-        n = self.data.n_samples
-        lw = self.left[0][j]
-        rw = self.right[0][j + 2]
-        if lw is None or rw is None:
+        lm = self.left[j]
+        rm = self.right[j + 2]
+        if lm is None or rm is None:
             raise StateError(f"environment stacks not built for bond {j}")
-        width = lw.shape[0] * 4 * rw.shape[0]
-        out = np.empty((n, width))
-
-        def fill(s):
-            lm = self.left[s][j]
-            rm = self.right[s][j + 2]
-            xj = self.data.samples[s].cores[j]
-            xj1 = self.data.samples[s].cores[j + 1]
-            t = lm @ xj.reshape(xj.shape[0], -1)
-            t = t.reshape(-1, xj.shape[2]) @ xj1.reshape(xj1.shape[0], -1)
-            out[s] = (t.reshape(-1, rm.shape[1]) @ rm.T).ravel()
-
-        self._foreach_sample(fill)
-        return out
+        xj, xj1 = self.stack.cores[j], self.stack.cores[j + 1]
+        n = len(lm)
+        t = lm @ xj.reshape(n, xj.shape[1], -1)
+        t = t.reshape(n, -1, xj.shape[3]) @ xj1.reshape(n, xj1.shape[1], -1)
+        return (t.reshape(n, -1, rm.shape[2]) @ rm.transpose(0, 2, 1)).reshape(n, -1)
 
 
-def _step_left(left: np.ndarray, wc: np.ndarray, xc: np.ndarray) -> np.ndarray:
-    t = np.tensordot(left, wc, axes=(0, 0))            # (bx, s, bw')
-    return np.tensordot(t, xc, axes=([0, 1], [0, 1]))  # (bw', bx')
+def _data_stack(w: MPS, data: ScaleData) -> MPSStack:
+    """The scale's sample stack, checked against the weight chain."""
+    if data.n_samples == 0:
+        raise ArgumentError("empty dataset")
+    if data.n_sites != len(w):
+        raise DimensionError(f"weights cover {len(w)} sites, samples {data.n_sites}")
+    stack = data.stack
+    if [c.shape[2] for c in stack.cores] != w.site_dims:
+        raise DimensionError("sample site dimensions do not match the weights")
+    return stack
 
 
-def _step_right(wc: np.ndarray, xc: np.ndarray, right: np.ndarray) -> np.ndarray:
-    t = np.tensordot(wc, right, axes=(2, 0))           # (bw, s, bx')
-    return np.tensordot(t, xc, axes=([1, 2], [1, 2]))  # (bw, bx)
+def _extend_left(left: np.ndarray, wc: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """(n, bw, bx) contraction of sites < j to the one of sites <= j."""
+    n, bw, _ = left.shape
+    t = (left @ xc.reshape(n, xc.shape[1], -1)).reshape(n, bw * wc.shape[1], -1)
+    return wc.reshape(bw * wc.shape[1], -1).T @ t
+
+
+def _extend_right(wc: np.ndarray, xc: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(n, bw, bx) contraction of sites > j to the one of sites >= j."""
+    n, bx = xc.shape[:2]
+    t = (xc.reshape(n, -1, xc.shape[3]) @ right.transpose(0, 2, 1)).reshape(n, bx, -1)
+    return wc.reshape(wc.shape[0], -1) @ t.transpose(0, 2, 1)
 
 
 def model_outputs(w: MPS, data: ScaleData) -> np.ndarray:
-    return np.array([inner(w, x) for x in data.samples])
+    """Overlaps <W, x> of every sample, one batched left-to-right pass."""
+    stack = _data_stack(w, data)
+    env = np.ones((data.n_samples, 1, 1))
+    for wc, xc in zip(w.cores, stack.cores):
+        env = _extend_left(env, wc, xc)
+    return env[:, 0, 0]
 
 
 def cost(w: MPS, data: ScaleData, lam: float = 0.0) -> float:
     """Mean squared error halved, plus the ridge term lam * |W|^2."""
-    if data.n_samples == 0:
-        raise ArgumentError("empty dataset")
     resid = model_outputs(w, data) - data.labels
     value = 0.5 * float(resid @ resid) / data.n_samples
     if lam:
@@ -239,11 +221,12 @@ def local_gradient(env: Environment, b: BondTensor, lam: float = 0.0) -> BondTen
 
 
 def _cg_normal(phi: np.ndarray, y: np.ndarray, x0: np.ndarray, lam: float,
-               max_iters: int, tol: float) -> np.ndarray:
+               max_iters: int, tol: float) -> tuple[np.ndarray, int]:
     """Conjugate gradient on (Phi^T Phi / n + 2 lam I) x = Phi^T y / n.
 
     The iterate monotonically decreases the quadratic objective, so the
-    window cost never rises above its value at x0.
+    window cost never rises above its value at x0. Returns the iterate and
+    the number of steps taken.
     """
     n = len(y)
 
@@ -260,8 +243,9 @@ def _cg_normal(phi: np.ndarray, y: np.ndarray, x0: np.ndarray, lam: float,
     stop = tol * max(float(np.linalg.norm(rhs)), np.finfo(np.float64).tiny)
     rr = float(r @ r)
     if rr ** 0.5 <= stop:
-        return x
+        return x, 0
     p = r.copy()
+    steps = 0
     for _ in range(max_iters):
         ap = matvec(p)
         pap = float(p @ ap)
@@ -275,6 +259,7 @@ def _cg_normal(phi: np.ndarray, y: np.ndarray, x0: np.ndarray, lam: float,
         alpha = rr / pap
         x += alpha * p
         r -= alpha * ap
+        steps += 1
         rr_new = float(r @ r)
         if not np.isfinite(rr_new):
             raise NumericError("conjugate gradient diverged; "
@@ -283,26 +268,27 @@ def _cg_normal(phi: np.ndarray, y: np.ndarray, x0: np.ndarray, lam: float,
             break
         p = r + (rr_new / rr) * p
         rr = rr_new
-    return x
+    return x, steps
 
 
 def solve_local(phi: np.ndarray, y: np.ndarray, vec0: np.ndarray, lam: float = 0.0,
                 cg_max_iters: int = 20, cg_tol: float = 1e-10,
-                ) -> tuple[np.ndarray, float, float]:
+                ) -> tuple[np.ndarray, float, float, int]:
     """Minimize the window cost over the merged block, starting from ``vec0``.
 
     ``phi`` is the window matrix of the bond and ``vec0`` the flattened
-    block. Returns the solved block with the window cost before and after;
-    never returns a block with higher window cost than ``vec0``.
+    block. Returns the solved block, the window cost before and after, and
+    the CG steps taken; never returns a block with higher window cost than
+    ``vec0``.
     """
     if phi.shape[1] != vec0.size:
         raise StateError("environment stacks out of step with the weights")
     c_before = _window_cost(phi, vec0, y, lam)
-    vec = _cg_normal(phi, y, vec0, lam, cg_max_iters, cg_tol)
+    vec, steps = _cg_normal(phi, y, vec0, lam, cg_max_iters, cg_tol)
     c_solved = _window_cost(phi, vec, y, lam)
     if c_solved > c_before:
-        return vec0, c_before, c_before  # roundoff ascent: keep the starting block
-    return vec, c_before, c_solved
+        return vec0, c_before, c_before, steps  # roundoff ascent: keep the starting block
+    return vec, c_before, c_solved, steps
 
 
 def _metric_from_outputs(f: np.ndarray, y: np.ndarray, task: str) -> float:
@@ -332,7 +318,7 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
     start = 0 if direction == "lr" else n_sites - 1
     w = canonicalize(w, start)
     if env is None:
-        env = Environment(w, data, threads=1)
+        env = Environment(w, data)
         if direction == "lr":
             env.refresh_right(w)
         else:
@@ -340,14 +326,16 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
     y = data.labels
     lam = cfg.lam
     trunc_total = 0.0
+    rollbacks = cg_iters = 0
     final_cost = np.nan
     final_resid = None
     bonds = range(n_sites - 1) if direction == "lr" else range(n_sites - 2, -1, -1)
     for j in bonds:
         b = merge_bond(w, j)
         phi = env.window_matrix(j)
-        vec, c_before, c_solved = solve_local(phi, y, b.value.ravel(), lam,
-                                              cfg.cg_max_iters, cfg.cg_tol)
+        vec, c_before, c_solved, steps = solve_local(phi, y, b.value.ravel(), lam,
+                                                     cfg.cg_max_iters, cfg.cg_tol)
+        cg_iters += steps
         new_center = j + 1 if direction == "lr" else j
         slack = 1e-12 * (c_before + float(y @ y) / len(y))
         w_new, err = split_bond(w, BondTensor(vec.reshape(b.value.shape), j),
@@ -361,6 +349,7 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
                                     new_center)
             merged = merge_bond(w_new, j).value.ravel()
             c_trunc = _window_cost(phi, merged, y, lam)
+            rollbacks += 1
         w = w_new
         trunc_total += err
         if monitor is not None:
@@ -378,6 +367,8 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
         train_metric=_metric_from_outputs(final_resid + y, y, task),
         wall_time=time.perf_counter() - t0,
         truncated_weight=trunc_total,
+        rollbacks=rollbacks,
+        cg_iters=cg_iters,
     )
     return w, stats
 
@@ -394,7 +385,7 @@ def random_weights(n_sites: int, cfg: TrainConfig, site_dim: int = 2) -> MPS:
 
 
 def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
-          task: str = "regression", threads: int = 1,
+          task: str = "regression",
           monitor: Callable[[SweepEvent], None] | None = None) -> tuple[MPS, list[SweepStats]]:
     """Run cfg.n_sweeps full back-and-forth sweeps; returns weights and stats.
 
@@ -407,7 +398,7 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
     _metric_from_outputs(np.zeros(1), np.zeros(1), task)  # validate the task name
     w = w0.copy() if w0 is not None else random_weights(data.n_sites, cfg)
     w = canonicalize(w, 0)
-    env = Environment(w, data, threads=threads)
+    env = Environment(w, data)
     env.refresh_right(w)
     stats: list[SweepStats] = []
     for k in range(cfg.n_sweeps):
@@ -421,6 +412,8 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
             train_metric=back.train_metric,
             wall_time=time.perf_counter() - t0,
             truncated_weight=forth.truncated_weight + back.truncated_weight,
+            rollbacks=forth.rollbacks + back.rollbacks,
+            cg_iters=forth.cg_iters + back.cg_iters,
         ))
     return w, stats
 
@@ -428,6 +421,4 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
 def evaluate(w: MPS, data: ScaleData, task: str) -> float:
     """Accuracy for classification (sign match, ties to +1), mean absolute
     deviation for regression."""
-    if data.n_samples == 0:
-        raise ArgumentError("empty dataset")
     return _metric_from_outputs(model_outputs(w, data), data.labels, task)

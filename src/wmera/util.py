@@ -1,11 +1,9 @@
-"""Small shared helpers: canonical hashing and deterministic threaded maps."""
+"""Small shared helpers: canonical JSON and SHA-256 hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
 
 
 def canonical_json(obj) -> str:
@@ -24,27 +22,3 @@ def sha256_file(path) -> str:
             h.update(block)
     return h.hexdigest()
 
-
-def thread_map(fn: Callable, items: Iterable, threads: int = 1) -> list:
-    """Map ``fn`` over ``items``, optionally on a thread pool.
-
-    Results come back in input order, so any reduction over the output is
-    deterministic regardless of the thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def chunk_ranges(n: int, parts: int) -> list[range]:
-    """Split range(n) into at most ``parts`` contiguous, near-equal ranges."""
-    parts = max(1, min(parts, n)) if n else 1
-    step, extra = divmod(n, parts)
-    out, start = [], 0
-    for i in range(parts):
-        size = step + (1 if i < extra else 0)
-        out.append(range(start, start + size))
-        start += size
-    return out

@@ -326,8 +326,8 @@ class TestTrainEvalFinegrain:
         assert len(lines) == 3
         record = json.loads(lines[0])
         assert record["scale"] == 1 and record["sweep"] == 0
-        assert set(record) == {"scale", "sweep", "cost", "max_bond",
-                               "train_metric", "truncated_weight"}
+        assert set(record) == {"scale", "sweep", "cost", "max_bond", "train_metric",
+                               "truncated_weight", "rollbacks", "cg_iters"}
 
         assert run_cli("eval", "--config", cfg_path) == 0
         report = json.loads((out / "eval_scale1.json").read_text())
@@ -341,6 +341,25 @@ class TestTrainEvalFinegrain:
         assert run_cli("train", "--config", cfg_path, "--scale", "0",
                        "--init", out / "model_scale0.init.mps") == 0
         assert (out / "model_scale0.mps").is_file()
+
+    def test_retraining_a_scale_keeps_other_scales_metrics(self, tmp_path, capsys):
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2"))
+        metrics = tmp_path / "out" / "metrics.jsonl"
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        for scale in ("2", "1", "1"):
+            assert run_cli("train", "--config", cfg_path, "--scale", scale) == 0
+        records = [json.loads(line) for line in metrics.read_text().splitlines()]
+        assert [(r["scale"], r["sweep"]) for r in records] == [
+            (2, 0), (2, 1), (2, 2), (1, 0), (1, 1), (1, 2)]
+        assert not (tmp_path / "out" / "metrics.jsonl.partial").exists()
+
+    def test_unreadable_metrics_exit_3(self, tmp_path, capsys):
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        (tmp_path / "out" / "metrics.jsonl").write_text('{"sweep": 0}\n')
+        assert run_cli("train", "--config", cfg_path) == 3
+        assert "metrics record" in capsys.readouterr().err
 
     def test_out_of_range_scale_exits_2(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)

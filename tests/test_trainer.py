@@ -36,6 +36,34 @@ def linear_dataset(rng, n_sites, n_samples, coeffs=None, bias=0.0):
     return ScaleData(samples, np.array(ys))
 
 
+def mixed_bond_mps(n_sites, rng):
+    """Random chain whose every interior bond is drawn from 1-4."""
+    dims = [1] + list(rng.integers(1, 5, n_sites - 1)) + [1]
+    return MPS([rng.standard_normal((dims[i], 2, dims[i + 1])) for i in range(n_sites)])
+
+
+def scaled(m, norm):
+    """``m`` rescaled to the given norm."""
+    return MPS([m.cores[0] * (norm / np.sqrt(inner(m, m)))] + m.cores[1:])
+
+
+def absolute(m):
+    return MPS([np.abs(c) for c in m.cores])
+
+
+def reference_window_row(w, x, j):
+    """One sample's window row, contracted site by site on that sample alone."""
+    left = np.ones((1, 1))
+    for k in range(j):
+        left = np.tensordot(np.tensordot(left, w.cores[k], axes=(0, 0)), x.cores[k],
+                            axes=([0, 1], [0, 1]))
+    right = np.ones((1, 1))
+    for k in range(len(w) - 1, j + 1, -1):
+        right = np.tensordot(np.tensordot(w.cores[k], right, axes=(2, 0)), x.cores[k],
+                             axes=([1, 2], [1, 2]))
+    return np.einsum("ab,bsm,mtn,cn->astc", left, x.cores[j], x.cores[j + 1], right).ravel()
+
+
 def sign_dataset(rng, n_sites, n_samples):
     """Labels +1/-1 decided by one coordinate, linearly separable."""
     samples, ys = [], []
@@ -84,11 +112,34 @@ class TestEnvironment:
         env = Environment(w, data)
         env.refresh_left(w, up_to=2)
         fresh = Environment(w, data)
-        fresh.left = [row[:] for row in fresh.left]
         for j in (0, 1):
             fresh.advance_left(w, j)
-        for s in range(4):
-            np.testing.assert_allclose(env.left[s][2], fresh.left[s][2], atol=1e-12)
+        np.testing.assert_allclose(env.left[2], fresh.left[2], atol=1e-12)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_sites=st.integers(2, 6),
+           n_samples=st.integers(1, 6))
+    def test_stacked_path_matches_each_sample(self, seed, n_sites, n_samples):
+        """Samples of mixed bonds 1-4 (so the stack pads) and norms 1e-13..1:
+        every window row and batched output matches the per-sample reference
+        to 1e-12 of the same contraction over absolute values."""
+        rng = np.random.default_rng(seed)
+        samples = [scaled(mixed_bond_mps(n_sites, rng), 10.0 ** rng.uniform(-13, 0))
+                   for _ in range(n_samples)]
+        data = ScaleData(samples, rng.standard_normal(n_samples))
+        w = mixed_bond_mps(n_sites, rng)
+        env = Environment(w, data)
+        env.refresh_left(w)
+        env.refresh_right(w)
+        for j in range(n_sites - 1):
+            phi = env.window_matrix(j)
+            for row, x in zip(phi, samples):
+                want = reference_window_row(w, x, j)
+                bound = np.linalg.norm(reference_window_row(absolute(w), absolute(x), j))
+                assert np.linalg.norm(row - want) <= 1e-12 * bound
+        got = model_outputs(w, data)
+        for f, x in zip(got, samples):
+            assert abs(f - inner(w, x)) <= 1e-12 * inner(absolute(w), absolute(x))
 
     def test_mismatched_sites_rejected(self):
         rng = np.random.default_rng(42)
@@ -152,11 +203,12 @@ class TestLocalSolve:
     def test_matches_dense_least_squares(self):
         rng = np.random.default_rng(45)
         phi, y, vec0 = self._window(rng)
-        vec, _, c_got = solve_local(phi, y, vec0, cg_max_iters=200, cg_tol=1e-14)
+        vec, _, c_got, steps = solve_local(phi, y, vec0, cg_max_iters=200, cg_tol=1e-14)
         x_ref, *_ = np.linalg.lstsq(phi, y, rcond=None)
         c_ref = 0.5 * np.mean((phi @ x_ref - y) ** 2)
         assert c_got == 0.5 * np.mean((phi @ vec - y) ** 2)
         assert c_got <= c_ref + 1e-9 * max(1.0, c_ref)
+        assert 1 <= steps <= 200
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 12),
@@ -164,7 +216,7 @@ class TestLocalSolve:
            cg_max_iters=st.integers(1, 30))
     def test_never_worse_than_start(self, seed, n_samples, j, lam, cg_max_iters):
         phi, y, vec0 = self._window(np.random.default_rng(seed), n_samples=n_samples, j=j)
-        vec, before, after = solve_local(phi, y, vec0, lam, cg_max_iters)
+        vec, before, after, _ = solve_local(phi, y, vec0, lam, cg_max_iters)
         assert before == _window_cost(phi, vec0, y, lam)
         assert after == _window_cost(phi, vec, y, lam)
         assert after <= before
@@ -172,8 +224,8 @@ class TestLocalSolve:
     def test_optimal_start_is_fixed_point(self):
         rng = np.random.default_rng(47)
         phi, y, vec0 = self._window(rng)
-        first, _, _ = solve_local(phi, y, vec0, cg_max_iters=400, cg_tol=1e-14)
-        again, _, _ = solve_local(phi, y, first, cg_max_iters=400, cg_tol=1e-14)
+        first, _, _, _ = solve_local(phi, y, vec0, cg_max_iters=400, cg_tol=1e-14)
+        again, _, _, _ = solve_local(phi, y, first, cg_max_iters=400, cg_tol=1e-14)
         np.testing.assert_allclose(again, first, atol=1e-9)
 
     def test_rejects_mismatched_block(self):
@@ -206,6 +258,18 @@ class TestSweep:
         # a stale environment would leave the second pass inconsistent with
         # a from-scratch evaluation of the same weights
         assert abs(s2.cost - cost(w, data)) < 1e-10 * max(1.0, s2.cost)
+
+    def test_rollbacks_counted_only_under_truncation(self):
+        """Linear targets need bond 2: a cap of 1 forces rollbacks, a cap of
+        8 keeps every solved block."""
+        data = linear_dataset(np.random.default_rng(48), 6, 25)
+        rollbacks = {}
+        for chi in (1, 8):
+            cfg = TrainConfig(delta_weights=1e-12, chi_max=chi, seed=0)
+            _, stats = sweep(random_weights(6, cfg), data, cfg, "lr")
+            rollbacks[chi] = stats.rollbacks
+            assert 0 < stats.cg_iters <= 5 * cfg.cg_max_iters
+        assert rollbacks[1] > 0 and rollbacks[8] == 0
 
     def test_rejects_unknown_direction(self):
         rng = np.random.default_rng(50)
@@ -256,6 +320,9 @@ class TestTrain:
             assert s.max_bond <= 4
             assert s.wall_time >= 0.0
             assert s.truncated_weight >= 0.0
+            assert 0 <= s.rollbacks <= 6  # 3 bonds, both directions
+            assert 0 <= s.cg_iters <= 6 * cfg.cg_max_iters
+        assert stats[0].cg_iters > 0
 
     def test_chi_cap_respected(self):
         rng = np.random.default_rng(54)
@@ -277,15 +344,14 @@ class TestTrain:
         rng = np.random.default_rng(56)
         data = linear_dataset(rng, 6, 18)
         cfg = TrainConfig(n_sweeps=2, chi_max=4, seed=8)
-        w_a, stats_a = train(data, cfg, threads=1)
-        w_b, stats_b = train(data, cfg, threads=1)
-        w_c, stats_c = train(data, cfg, threads=4)
-        for sa, sb, sc in zip(stats_a, stats_b, stats_c):
-            assert sa.cost == sb.cost == sc.cost
-            assert sa.train_metric == sb.train_metric == sc.train_metric
-        for ca, cb, cc in zip(w_a.cores, w_b.cores, w_c.cores):
+        w_a, stats_a = train(data, cfg)
+        w_b, stats_b = train(ScaleData(data.samples, data.labels), cfg)
+        for sa, sb in zip(stats_a, stats_b):
+            assert sa.cost == sb.cost
+            assert sa.train_metric == sb.train_metric
+            assert (sa.rollbacks, sa.cg_iters) == (sb.rollbacks, sb.cg_iters)
+        for ca, cb in zip(w_a.cores, w_b.cores):
             np.testing.assert_array_equal(ca, cb)
-            np.testing.assert_array_equal(ca, cc)
 
     def test_single_sample_fits_exactly(self):
         rng = np.random.default_rng(57)
