@@ -11,7 +11,7 @@ from .errors import (
     StateError,
     WmeraError,
 )
-from .mps import MPS, BondTensor, canonicalize, inner, merge_bond, product_state, split_bond
+from .mps import MPS, canonicalize, inner, merge_bond, product_state, split_bond
 from .wavelet import (
     WaveletMeraLayer,
     build_daub4_layer,
@@ -38,7 +38,6 @@ __all__ = [
     "StateError",
     "WmeraError",
     "MPS",
-    "BondTensor",
     "canonicalize",
     "inner",
     "merge_bond",

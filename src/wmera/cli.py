@@ -335,20 +335,20 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
 def _load_caches(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
     """Load the caches that ``wmera preprocess`` built for this configuration."""
     root = cfg.cache_root
-    if not (root / "train" / "manifest.json").is_file():
-        raise StateError(f"no preprocessing cache at {root}; run 'wmera preprocess' first")
+    test = root / "test"
+    splits = [root / "train", test] if test.exists() else [root / "train"]
+    for directory in splits:  # a directory without its manifest is an unfinished build
+        if not (directory / "manifest.json").is_file():
+            raise StateError(f"no preprocessing cache at {directory}; "
+                             "run 'wmera preprocess' first")
     fingerprint = compute_fingerprint(cfg)
-    caches = []
-    for split in ("train", "test"):
-        directory = root / split
-        if split == "test" and not (directory / "manifest.json").is_file():
-            caches.append(None)
-            continue
+    caches = [None, None]
+    for i, directory in enumerate(splits):
         cache = load_cache(directory)
         if cache.fingerprint != fingerprint:
             raise StateError(f"the cache at {directory} was built from other data or "
                              "settings; run 'wmera preprocess' again")
-        caches.append(cache)
+        caches[i] = cache
     return caches[0], caches[1]
 
 

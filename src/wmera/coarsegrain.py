@@ -1,11 +1,11 @@
 """Coarse-graining layers applied to many MPS-encoded samples at once, plus
 the on-disk cache of every sample at every scale.
 
-Samples go through a layer as an :class:`MPSStack`, one zero-padded array of
-shape (n, left bond, 2, right bond) per site. Every step is one batched
-matmul, ``np.linalg.qr`` or ``np.linalg.svd`` over the stack, and each
-sample's rank at every cut is the one :func:`~wmera.tensor.svd_split` would
-choose for that sample alone.
+Samples go through a layer as an :class:`~wmera.mps.MPSStack`, one
+zero-padded array of shape (n, left bond, 2, right bond) per site, and every
+gauge move, merge and split is a step of the batched MPS algebra in
+:mod:`wmera.mps`, so each sample's rank at every cut is the one
+:func:`~wmera.mps.svd_split` would choose for that sample alone.
 
 A layer applies its disentanglers pair by pair as two-site gates, each
 followed by a truncated SVD re-split. The pair straddling the chain ends
@@ -35,10 +35,10 @@ from .errors import (
     DataError,
     DimensionError,
     FormatError,
-    NumericError,
     StateError,
 )
-from .mps import MPS, inner, product_state, read_mps_record, write_mps_record
+from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, inner, product_state,
+                  read_mps_record, write_mps_record)
 from .util import sha256_file
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
@@ -56,155 +56,12 @@ _IDENTITY4 = np.eye(4)
 _CHUNK_BYTES = 4 << 20
 
 
-class MPSStack:
-    """n chains of one length, stacked per site and zero-padded.
-
-    ``cores[j]`` has shape (n, bl, d, br) and sample i's own core is the
-    leading block ``cores[j][i, :bonds[i, j], :, :bonds[i, j + 1]]``; every
-    entry outside it is zero, so padding trails every bond and a QR or SVD
-    of the padded matrix contains each sample's own factors. ``bonds`` is
-    (n, N + 1) and ``center`` is the orthogonality center all samples
-    share, as in ``MPS.ortho_center``. Kernel steps update a stack in place.
-    """
-
-    __slots__ = ("cores", "bonds", "center")
-
-    def __init__(self, cores: list[np.ndarray], bonds: np.ndarray,
-                 center: int | None = None):
-        self.cores = cores
-        self.bonds = bonds
-        self.center = center
-
-    @classmethod
-    def from_states(cls, states: list[MPS]) -> "MPSStack":
-        """Stack states of one length whose site dimensions agree site by site."""
-        bonds = np.array([s.bond_dims for s in states])
-        cores = []
-        for j, d in enumerate(states[0].site_dims):
-            stacked = np.zeros((len(states), bonds[:, j].max(), d, bonds[:, j + 1].max()))
-            for i, s in enumerate(states):
-                core = s.cores[j]
-                stacked[i, :core.shape[0], :, :core.shape[2]] = core
-            cores.append(stacked)
-        centers = {s.ortho_center for s in states}
-        return cls(cores, bonds, centers.pop() if len(centers) == 1 else None)
-
-    def states(self) -> list[MPS]:
-        """Every sample as its own MPS, trimmed to its own bonds."""
-        return [MPS._from_valid([c[i, :b[j], :, :b[j + 1]].copy()
-                                 for j, c in enumerate(self.cores)], self.center)
-                for i, b in enumerate(self.bonds)]
-
-
 def _check_states(states: list[MPS], n_sites: int) -> None:
     for s in states:
         if len(s) != n_sites:
             raise DimensionError(f"layer expects {n_sites} sites, state has {len(s)}")
         if any(d != 2 for d in s.site_dims):
             raise DimensionError("layers expect site dimension 2 everywhere")
-
-
-def _trim_left(core: np.ndarray, dims: np.ndarray) -> None:
-    """Zero each sample's rows of ``core`` beyond its left bond ``dims[i]``."""
-    if dims.min() < core.shape[1]:
-        core *= (np.arange(core.shape[1]) < dims[:, None])[:, :, None, None]
-
-
-def _trim_right(core: np.ndarray, dims: np.ndarray) -> None:
-    """Zero each sample's columns of ``core`` beyond its right bond ``dims[i]``."""
-    if dims.min() < core.shape[3]:
-        core *= (np.arange(core.shape[3]) < dims[:, None])[:, None, None, :]
-
-
-def _orthogonalize_left(st: MPSStack, j: int) -> None:
-    """Make core j left-orthogonal, moving its R factor into core j + 1."""
-    core, nxt = st.cores[j], st.cores[j + 1]
-    n, bl, d, br = core.shape
-    q, r = np.linalg.qr(core.reshape(n, bl * d, br))
-    st.bonds[:, j + 1] = np.minimum(d * st.bonds[:, j], st.bonds[:, j + 1])
-    k = st.bonds[:, j + 1].max()
-    st.cores[j] = q[:, :, :k].reshape(n, bl, d, k)
-    st.cores[j + 1] = (r[:, :k] @ nxt.reshape(n, br, -1)).reshape(n, k, d, -1)
-    _trim_right(st.cores[j], st.bonds[:, j + 1])
-    _trim_left(st.cores[j + 1], st.bonds[:, j + 1])
-
-
-def _orthogonalize_right(st: MPSStack, j: int) -> None:
-    """Make core j right-orthogonal, moving its R factor into core j - 1.
-
-    The QR runs on rows ordered (right bond, site), not (site, right bond),
-    so that padded rows trail and each sample's factors are leading blocks.
-    """
-    core, prev = st.cores[j], st.cores[j - 1]
-    n, bl, d, br = core.shape
-    q, r = np.linalg.qr(core.transpose(0, 3, 2, 1).reshape(n, br * d, bl))
-    st.bonds[:, j] = np.minimum(st.bonds[:, j], d * st.bonds[:, j + 1])
-    k = st.bonds[:, j].max()
-    st.cores[j] = q[:, :, :k].reshape(n, br, d, k).transpose(0, 3, 2, 1)
-    st.cores[j - 1] = (prev.reshape(n, -1, bl) @ r[:, :k].transpose(0, 2, 1)
-                       ).reshape(n, prev.shape[1], d, k)
-    _trim_left(st.cores[j], st.bonds[:, j])
-    _trim_right(st.cores[j - 1], st.bonds[:, j])
-
-
-def _canonicalize(st: MPSStack, center: int) -> None:
-    """Move every sample to mixed-canonical form centered at ``center``."""
-    if st.center is None:
-        for j in range(center):
-            _orthogonalize_left(st, j)
-        for j in range(len(st.cores) - 1, center, -1):
-            _orthogonalize_right(st, j)
-    elif st.center <= center:
-        for j in range(st.center, center):
-            _orthogonalize_left(st, j)
-    else:
-        for j in range(st.center, center, -1):
-            _orthogonalize_right(st, j)
-    st.center = center
-
-
-def _merge(st: MPSStack, j: int) -> np.ndarray:
-    """Cores j and j + 1 fused into blocks of shape (n, bl, 2, 2, br)."""
-    a, b = st.cores[j], st.cores[j + 1]
-    n, bl, d, bm = a.shape
-    return (a.reshape(n, bl * d, bm) @ b.reshape(n, bm, -1)).reshape(
-        n, bl, d, b.shape[2], b.shape[3])
-
-
-def _split(st: MPSStack, j: int, block: np.ndarray, delta: float,
-           chi_max: int | None) -> np.ndarray:
-    """Replace cores j, j + 1 with the truncated SVD factors of ``block``.
-
-    Each sample keeps the singular values >= ``delta``, at most ``chi_max``
-    and at most its own matrix size, but at least one; they are absorbed
-    into core j + 1, which becomes the center. Returns each sample's
-    truncation error (sum of squared discarded singular values).
-    """
-    n, bl, d, d2, br = block.shape
-    try:
-        u, s, vh = np.linalg.svd(block.reshape(n, bl * d, d2 * br), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed to converge on a stack of {n} "
-                           f"{bl * d}x{d2 * br} matrices") from exc
-    keep = np.count_nonzero(s >= delta, axis=1)
-    if chi_max is not None:
-        keep = np.minimum(keep, chi_max)
-    size = np.minimum(d * st.bonds[:, j], d2 * st.bonds[:, j + 2])
-    keep = np.maximum(np.minimum(keep, size), 1)
-    dropped = np.arange(s.shape[1]) >= keep[:, None]
-    err = np.sum(np.where(dropped, s, 0.0) ** 2, axis=1)
-    k = keep.max()
-    st.cores[j] = u[:, :, :k].reshape(n, bl, d, k)
-    st.cores[j + 1] = (s[:, :k, None] * vh[:, :k]).reshape(n, k, d2, br)
-    st.bonds[:, j + 1] = keep
-    st.center = j + 1
-    # Singular vectors of a padded matrix can reach into the padding where
-    # the sample's own singular values are zero; cut them back on every side.
-    _trim_left(st.cores[j], st.bonds[:, j])
-    _trim_right(st.cores[j], keep)
-    _trim_left(st.cores[j + 1], keep)
-    _trim_right(st.cores[j + 1], st.bonds[:, j + 2])
-    return err
 
 
 def _gate_matrix(gate: np.ndarray) -> np.ndarray:
@@ -218,10 +75,10 @@ def _apply_gate_adjacent(st: MPSStack, gate: np.ndarray, j: int, delta: float,
                          chi_max: int | None) -> np.ndarray:
     """Gate on the pair (j, j + 1) of every sample, then a truncated re-split."""
     _canonicalize(st, j)
-    pair = _merge(st, j)
+    pair = _merge(st.cores[j], st.cores[j + 1])
     n, bl, _, _, br = pair.shape
     gated = gate.T @ pair.reshape(n, bl, 4, br)
-    return _split(st, j, gated.reshape(n, bl, 2, 2, br), delta, chi_max)
+    return _split(st, j, gated.reshape(n, bl, 2, 2, br), delta, chi_max, j + 1)
 
 
 def _end_operator_pairs(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +101,7 @@ def _compress(st: MPSStack, delta: float, chi_max: int | None) -> np.ndarray:
     _canonicalize(st, 0)
     err = np.zeros(len(st.bonds))
     for j in range(len(st.cores) - 1):
-        err += _split(st, j, _merge(st, j), delta, chi_max)
+        err += _split(st, j, _merge(st.cores[j], st.cores[j + 1]), delta, chi_max, j + 1)
     return err
 
 
@@ -285,10 +142,6 @@ def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float,
     n_sites = len(st.cores)
     if n_sites < 4 or n_sites % 2:
         raise DimensionError(f"pair gates need an even chain of >= 4 sites, got {n_sites}")
-    if delta < 0:
-        raise ArgumentError("delta must be >= 0")
-    if chi_max is not None and chi_max < 1:
-        raise ArgumentError("chi_max must be >= 1")
     gate = _gate_matrix(gate)
     err = np.zeros(len(st.bonds))
     if np.array_equal(gate, _IDENTITY4):
@@ -315,7 +168,7 @@ def apply_isometries(st: MPSStack, layer: WaveletMeraLayer) -> MPSStack:
     """Contract every even pair (2i, 2i+1) of every sample into one coarse site."""
     cores = []
     for j in range(0, len(st.cores), 2):
-        pair = _merge(st, j)
+        pair = _merge(st.cores[j], st.cores[j + 1])
         n, bl, _, _, br = pair.shape
         cores.append(layer.isometry @ pair.reshape(n, bl, 4, br))
     return MPSStack(cores, st.bonds[:, ::2].copy())

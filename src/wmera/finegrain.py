@@ -13,8 +13,7 @@ import numpy as np
 
 from .coarsegrain import apply_pair_gates
 from .errors import DimensionError
-from .mps import MPS
-from .tensor import svd_split
+from .mps import MPS, svd_split
 from .wavelet import WaveletMeraLayer
 
 
@@ -37,10 +36,11 @@ def fine_grain_weights(w: MPS, layer: WaveletMeraLayer, delta: float = 0.0,
     for core in w.cores:
         # conjugate isometry: expand the coarse site into a fine pair
         block = np.einsum("lcr,cst->lstr", core, v3)
-        res = svd_split(block, (0, 1), delta, chi_max)
-        cores.append(res.left_factor)
-        cores.append((res.singular_values[:, None, None] * res.right_factor))
-        total += res.truncation_error
+        dl, _, _, dr = block.shape
+        u, s, vh, _, err = svd_split(block.reshape(1, 2 * dl, 2 * dr), delta, chi_max)
+        cores.append(u[0].reshape(dl, 2, -1))
+        cores.append((s[0, :, None] * vh[0]).reshape(-1, 2, dr))
+        total += float(err[0])
     fine = MPS(cores)
     # Conjugate disentanglers use the same pair wiring; transposing the gate
     # flips the contraction orientation, which is exactly conjugation.

@@ -1,21 +1,23 @@
-"""Matrix product states: construction, gauges, two-site merge/split, file I/O.
+"""Matrix product states, model file I/O, and the package's one MPS algebra.
 
 Cores are order-3 arrays laid out (left bond, site, right bond); boundary
-bonds have extent 1. Values are immutable by convention: every operation
-returns a new state and never mutates core arrays in place, so unchanged
-cores may be shared between instances.
+bonds have extent 1. ``MPS`` values are immutable by convention: every
+operation returns a new state and never mutates core arrays in place, so
+unchanged cores may be shared between instances. Gauge moves, two-site
+merges and truncated SVD splits run batched on an :class:`MPSStack`;
+:func:`canonicalize`, :func:`merge_bond` and :func:`split_bond` run them on
+a single state as a stack of one that views its cores.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, FormatError, StateError
-from .tensor import read_tensor, svd_split, write_tensor
+from .errors import ArgumentError, DimensionError, FormatError, NumericError, StateError
+from .tensor import read_tensor, write_tensor
 
 
 class MPS:
@@ -71,9 +73,6 @@ class MPS:
     def max_bond(self) -> int:
         return max(self.bond_dims)
 
-    def copy(self) -> "MPS":
-        return MPS._from_valid([c.copy() for c in self.cores], self.ortho_center)
-
     def to_dense(self) -> np.ndarray:
         """Contract everything into an order-N array. Exponential; test scale only."""
         out = self.cores[0]
@@ -84,17 +83,6 @@ class MPS:
     def __repr__(self) -> str:
         return (f"MPS(n_sites={len(self)}, max_bond={self.max_bond}, "
                 f"ortho_center={self.ortho_center})")
-
-
-@dataclass
-class BondTensor:
-    """Two neighbouring cores fused over their shared bond.
-
-    ``value`` has layout (left bond, site j, site j+1, right bond).
-    """
-
-    value: np.ndarray
-    site_index: int
 
 
 def product_state(site_vectors: Sequence[np.ndarray]) -> MPS:
@@ -121,21 +109,166 @@ def inner(w: MPS, x: MPS) -> float:
     return float(env[0, 0])
 
 
-def _left_orthogonalize(cores: list[np.ndarray], start: int, stop: int) -> None:
-    for j in range(start, stop):
-        dl, d, dr = cores[j].shape
-        q, r = np.linalg.qr(cores[j].reshape(dl * d, dr))
-        cores[j] = q.reshape(dl, d, -1)
-        cores[j + 1] = np.tensordot(r, cores[j + 1], axes=(1, 0))
+class MPSStack:
+    """n chains of one length, stacked per site and zero-padded.
+
+    ``cores[j]`` has shape (n, bl, d, br) and sample i's own core is the
+    leading block ``cores[j][i, :bonds[i, j], :, :bonds[i, j + 1]]``; every
+    entry outside it is zero, so padding trails every bond and a QR or SVD
+    of the padded matrix contains each sample's own factors. ``bonds`` is
+    (n, N + 1) and ``center`` is the orthogonality center all samples
+    share, as in ``MPS.ortho_center``. Kernel steps update a stack in place.
+    """
+
+    __slots__ = ("cores", "bonds", "center")
+
+    def __init__(self, cores: list[np.ndarray], bonds: np.ndarray,
+                 center: int | None = None):
+        self.cores = cores
+        self.bonds = bonds
+        self.center = center
+
+    @classmethod
+    def from_states(cls, states: list[MPS]) -> "MPSStack":
+        """Stack states of one length whose site dimensions agree site by site."""
+        bonds = np.array([s.bond_dims for s in states])
+        cores = []
+        for j, d in enumerate(states[0].site_dims):
+            stacked = np.zeros((len(states), bonds[:, j].max(), d, bonds[:, j + 1].max()))
+            for i, s in enumerate(states):
+                core = s.cores[j]
+                stacked[i, :core.shape[0], :, :core.shape[2]] = core
+            cores.append(stacked)
+        centers = {s.ortho_center for s in states}
+        return cls(cores, bonds, centers.pop() if len(centers) == 1 else None)
+
+    def states(self) -> list[MPS]:
+        """Every sample as its own MPS, trimmed to its own bonds."""
+        return [MPS._from_valid([c[i, :b[j], :, :b[j + 1]].copy()
+                                 for j, c in enumerate(self.cores)], self.center)
+                for i, b in enumerate(self.bonds)]
 
 
-def _right_orthogonalize(cores: list[np.ndarray], start: int, stop: int) -> None:
-    for j in range(start, stop, -1):
-        dl, d, dr = cores[j].shape
-        # core = R^T Q^T with Q^T having orthonormal rows
-        q, r = np.linalg.qr(cores[j].reshape(dl, d * dr).T)
-        cores[j] = q.T.reshape(-1, d, dr)
-        cores[j - 1] = np.tensordot(cores[j - 1], r, axes=(2, 1))
+def _trim_left(core: np.ndarray, dims: np.ndarray) -> None:
+    """Zero each sample's rows of ``core`` beyond its left bond ``dims[i]``."""
+    if dims.min() < core.shape[1]:
+        core *= (np.arange(core.shape[1]) < dims[:, None])[:, :, None, None]
+
+
+def _trim_right(core: np.ndarray, dims: np.ndarray) -> None:
+    """Zero each sample's columns of ``core`` beyond its right bond ``dims[i]``."""
+    if dims.min() < core.shape[3]:
+        core *= (np.arange(core.shape[3]) < dims[:, None])[:, None, None, :]
+
+
+def _orthogonalize_left(st: MPSStack, j: int) -> None:
+    """Make core j left-orthogonal, moving its R factor into core j + 1."""
+    core, nxt = st.cores[j], st.cores[j + 1]
+    n, bl, d, br = core.shape
+    q, r = np.linalg.qr(core.reshape(n, bl * d, br))
+    st.bonds[:, j + 1] = np.minimum(d * st.bonds[:, j], st.bonds[:, j + 1])
+    k = st.bonds[:, j + 1].max()
+    st.cores[j] = q[:, :, :k].reshape(n, bl, d, k)
+    st.cores[j + 1] = (r[:, :k] @ nxt.reshape(n, br, -1)).reshape(n, k, nxt.shape[2], -1)
+    _trim_right(st.cores[j], st.bonds[:, j + 1])
+    _trim_left(st.cores[j + 1], st.bonds[:, j + 1])
+
+
+def _orthogonalize_right(st: MPSStack, j: int) -> None:
+    """Make core j right-orthogonal, moving its R factor into core j - 1.
+
+    The QR runs on rows ordered (right bond, site), not (site, right bond),
+    so that padded rows trail and each sample's factors are leading blocks.
+    """
+    core, prev = st.cores[j], st.cores[j - 1]
+    n, bl, d, br = core.shape
+    q, r = np.linalg.qr(core.transpose(0, 3, 2, 1).reshape(n, br * d, bl))
+    st.bonds[:, j] = np.minimum(st.bonds[:, j], d * st.bonds[:, j + 1])
+    k = st.bonds[:, j].max()
+    st.cores[j] = q[:, :, :k].reshape(n, br, d, k).transpose(0, 3, 2, 1)
+    st.cores[j - 1] = (prev.reshape(n, -1, bl) @ r[:, :k].transpose(0, 2, 1)
+                       ).reshape(n, prev.shape[1], prev.shape[2], k)
+    _trim_left(st.cores[j], st.bonds[:, j])
+    _trim_right(st.cores[j - 1], st.bonds[:, j])
+
+
+def _canonicalize(st: MPSStack, center: int) -> None:
+    """Move every sample to mixed-canonical form centered at ``center``."""
+    if st.center is None:
+        for j in range(center):
+            _orthogonalize_left(st, j)
+        for j in range(len(st.cores) - 1, center, -1):
+            _orthogonalize_right(st, j)
+    elif st.center <= center:
+        for j in range(st.center, center):
+            _orthogonalize_left(st, j)
+    else:
+        for j in range(st.center, center, -1):
+            _orthogonalize_right(st, j)
+    st.center = center
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Neighbouring stacked cores fused into blocks of shape (n, bl, d, d', br)."""
+    n, bl, d, bm = a.shape
+    return (a.reshape(n, bl * d, bm) @ b.reshape(n, bm, -1)).reshape(
+        n, bl, d, b.shape[2], b.shape[3])
+
+
+def svd_split(mats: np.ndarray, delta: float = 0.0, chi_max: int | None = None,
+              size: np.ndarray | None = None):
+    """Truncated SVD of a stack of matrices (n, rows, cols).
+
+    Matrix i keeps its singular values >= ``delta``, at most ``chi_max`` and
+    at most ``size[i]`` (its own extent inside padding), but at least one.
+    Returns ``(u, s, vh, keep, err)``: factors cut to the largest kept rank
+    (matrix i's past ``keep[i]`` are the caller's to zero), each kept rank,
+    and each truncation error (sum of squared discarded singular values).
+    """
+    if delta < 0:
+        raise ArgumentError("delta must be >= 0")
+    if chi_max is not None and chi_max < 1:
+        raise ArgumentError("chi_max must be >= 1")
+    try:
+        u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed to converge on a stack of {len(mats)} "
+                           f"{mats.shape[1]}x{mats.shape[2]} matrices") from exc
+    keep = np.count_nonzero(s >= delta, axis=1)
+    if chi_max is not None:
+        keep = np.minimum(keep, chi_max)
+    keep = np.maximum(np.minimum(keep, s.shape[1] if size is None else size), 1)
+    err = np.sum(np.where(np.arange(s.shape[1]) >= keep[:, None], s, 0.0) ** 2, axis=1)
+    k = keep.max()
+    return u[:, :, :k], s[:, :k], vh[:, :k], keep, err
+
+
+def _split(st: MPSStack, j: int, block: np.ndarray, delta: float,
+           chi_max: int | None, new_center: int) -> np.ndarray:
+    """Replace cores j, j + 1 with the truncated SVD factors of ``block``.
+
+    Each sample keeps the rank :func:`svd_split` picks for it alone. The
+    singular values are absorbed into the core at ``new_center`` (j or
+    j + 1), which becomes the center. Returns each sample's truncation error.
+    """
+    n, bl, d, d2, br = block.shape
+    size = np.minimum(d * st.bonds[:, j], d2 * st.bonds[:, j + 2])
+    u, s, vh, keep, err = svd_split(block.reshape(n, bl * d, d2 * br), delta, chi_max, size)
+    if new_center == j + 1:
+        vh = s[:, :, None] * vh
+    else:
+        u = u * s[:, None, :]
+    st.cores[j] = u.reshape(n, bl, d, -1)
+    st.cores[j + 1] = vh.reshape(n, -1, d2, br)
+    st.bonds[:, j + 1] = keep
+    st.center = new_center
+    # Singular vectors of a padded matrix can reach into the padding where
+    # the sample's own singular values are zero; cut them back on every side.
+    _trim_left(st.cores[j], st.bonds[:, j])
+    _trim_right(st.cores[j], keep)
+    _trim_left(st.cores[j + 1], keep)
+    _trim_right(st.cores[j + 1], st.bonds[:, j + 2])
+    return err
 
 
 def canonicalize(m: MPS, center: int) -> MPS:
@@ -146,18 +279,12 @@ def canonicalize(m: MPS, center: int) -> MPS:
     """
     if not 0 <= center < len(m):
         raise ArgumentError(f"center {center} out of range for {len(m)} sites")
-    cores = list(m.cores)
-    if m.ortho_center is None:
-        _left_orthogonalize(cores, 0, center)
-        _right_orthogonalize(cores, len(cores) - 1, center)
-    elif m.ortho_center <= center:
-        _left_orthogonalize(cores, m.ortho_center, center)
-    else:
-        _right_orthogonalize(cores, m.ortho_center, center)
-    return MPS._from_valid(cores, ortho_center=center)
+    st = MPSStack([c[None] for c in m.cores], np.array([m.bond_dims]), m.ortho_center)
+    _canonicalize(st, center)
+    return MPS._from_valid([c[0] for c in st.cores], center)  # one chain: no padding
 
 
-def merge_bond(m: MPS, j: int) -> BondTensor:
+def merge_bond(m: MPS, j: int) -> np.ndarray:
     """Fuse cores j and j+1 into one (left, site, site, right) block.
 
     Requires the orthogonality center at j or j+1 so that the block carries
@@ -168,40 +295,30 @@ def merge_bond(m: MPS, j: int) -> BondTensor:
     if m.ortho_center not in (j, j + 1):
         raise StateError(f"merge_bond at {j} needs the orthogonality center at "
                          f"{j} or {j + 1}, found {m.ortho_center}")
-    return BondTensor(np.tensordot(m.cores[j], m.cores[j + 1], axes=(2, 0)), j)
+    return _merge(m.cores[j][None], m.cores[j + 1][None])[0]
 
 
-def split_bond(m: MPS, b: BondTensor, delta: float, chi_max: int | None,
+def split_bond(m: MPS, j: int, block: np.ndarray, delta: float, chi_max: int | None,
                new_center: int) -> tuple[MPS, float]:
-    """Replace cores j, j+1 of ``m`` with the truncated SVD factors of ``b``.
+    """Replace cores j, j+1 of ``m`` with the truncated SVD factors of ``block``.
 
     Singular values are absorbed into the core at ``new_center`` (j or j+1),
     which becomes the orthogonality center. Returns the new state and the
     truncation error (sum of squared discarded singular values).
     """
-    j = b.site_index
     if not 0 <= j < len(m) - 1:
         raise ArgumentError(f"bond index {j} out of range for {len(m)} sites")
     if new_center not in (j, j + 1):
         raise ArgumentError(f"new_center must be {j} or {j + 1}, got {new_center}")
-    dl, d, d2, dr = b.value.shape
-    if (dl != m.cores[j].shape[0] or d != m.cores[j].shape[1]
-            or d2 != m.cores[j + 1].shape[1] or dr != m.cores[j + 1].shape[2]):
+    a, b = m.cores[j], m.cores[j + 1]
+    if block.shape != a.shape[:2] + b.shape[1:]:
         raise DimensionError("bond tensor shape does not match the target sites")
-    res = svd_split(b.value, (0, 1), delta, chi_max)
-    k = res.rank
-    if new_center == j + 1:
-        left = res.left_factor
-        right = (res.singular_values[:, None] * res.right_factor.reshape(k, -1)
-                 ).reshape(k, d2, dr)
-    else:
-        left = (res.left_factor.reshape(-1, k) * res.singular_values
-                ).reshape(dl, d, k)
-        right = res.right_factor
+    # the split reads and writes cores j and j + 1 only: stack just those two
+    st = MPSStack([a[None], b[None]], np.array([[a.shape[0], a.shape[2], b.shape[2]]]))
+    err = _split(st, 0, block[None], delta, chi_max, new_center - j)
     cores = list(m.cores)
-    cores[j] = left
-    cores[j + 1] = right
-    return MPS._from_valid(cores, ortho_center=new_center), res.truncation_error
+    cores[j], cores[j + 1] = st.cores[0][0], st.cores[1][0]
+    return MPS._from_valid(cores, new_center), float(err[0])
 
 
 # Model file layout: magic, format version (u32), core count (u32), cores.

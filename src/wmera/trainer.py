@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .coarsegrain import MPSStack, ScaleData
+from .coarsegrain import ScaleData
 from .errors import ArgumentError, DimensionError, NumericError, StateError
-from .mps import MPS, BondTensor, canonicalize, inner, merge_bond, split_bond
+from .mps import MPS, MPSStack, canonicalize, inner, merge_bond, split_bond
 
 
 @dataclass
@@ -139,8 +139,8 @@ class Environment:
         """Every sample's projection into the (j, j+1) window, one row each.
 
         Row s flattens a (left bond, site, site, right bond) tensor in the
-        same order as BondTensor.value.ravel(), so ``rows @ b.ravel()`` are
-        the model outputs.
+        same order as the ``merge_bond`` block's ravel(), so
+        ``rows @ block.ravel()`` are the model outputs.
         """
         lm = self.left[j]
         rm = self.right[j + 2]
@@ -205,19 +205,20 @@ def _window_cost(phi: np.ndarray, vec: np.ndarray, y: np.ndarray, lam: float) ->
     return value
 
 
-def local_gradient(env: Environment, b: BondTensor, lam: float = 0.0) -> BondTensor:
-    """Negative cost gradient with respect to the merged block ``b``.
+def local_gradient(env: Environment, j: int, block: np.ndarray,
+                   lam: float = 0.0) -> np.ndarray:
+    """Negative cost gradient with respect to the merged block of bond ``j``.
 
     Valid when the weights are canonical around the window, so that the
-    ridge term reduces to lam * |b|^2.
+    ridge term reduces to lam * |block|^2.
     """
-    phi = env.window_matrix(b.site_index)
-    vec = b.value.ravel()
+    phi = env.window_matrix(j)
+    vec = block.ravel()
     if phi.shape[1] != vec.size:
         raise StateError("environment stacks disagree with the bond tensor shape")
     resid = env.data.labels - phi @ vec
     grad = phi.T @ resid / env.data.n_samples - 2.0 * lam * vec
-    return BondTensor(grad.reshape(b.value.shape), b.site_index)
+    return grad.reshape(block.shape)
 
 
 def _cg_normal(phi: np.ndarray, y: np.ndarray, x0: np.ndarray, lam: float,
@@ -331,23 +332,23 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
     final_resid = None
     bonds = range(n_sites - 1) if direction == "lr" else range(n_sites - 2, -1, -1)
     for j in bonds:
-        b = merge_bond(w, j)
+        block = merge_bond(w, j)
         phi = env.window_matrix(j)
-        vec, c_before, c_solved, steps = solve_local(phi, y, b.value.ravel(), lam,
+        vec, c_before, c_solved, steps = solve_local(phi, y, block.ravel(), lam,
                                                      cfg.cg_max_iters, cfg.cg_tol)
         cg_iters += steps
         new_center = j + 1 if direction == "lr" else j
         slack = 1e-12 * (c_before + float(y @ y) / len(y))
-        w_new, err = split_bond(w, BondTensor(vec.reshape(b.value.shape), j),
-                                cfg.delta_weights, cfg.chi_max, new_center)
-        merged = merge_bond(w_new, j).value.ravel()
+        w_new, err = split_bond(w, j, vec.reshape(block.shape), cfg.delta_weights,
+                                cfg.chi_max, new_center)
+        merged = merge_bond(w_new, j).ravel()
         c_trunc = _window_cost(phi, merged, y, lam)
         if c_trunc > c_before + slack:
             # the solve only helped in directions the bond cap cannot keep;
             # re-split the original block so the pass stays monotone
-            w_new, err = split_bond(w, b, cfg.delta_weights, cfg.chi_max,
+            w_new, err = split_bond(w, j, block, cfg.delta_weights, cfg.chi_max,
                                     new_center)
-            merged = merge_bond(w_new, j).value.ravel()
+            merged = merge_bond(w_new, j).ravel()
             c_trunc = _window_cost(phi, merged, y, lam)
             rollbacks += 1
         w = w_new
@@ -396,7 +397,7 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
     if data.n_samples == 0:
         raise ArgumentError("empty dataset")
     _metric_from_outputs(np.zeros(1), np.zeros(1), task)  # validate the task name
-    w = w0.copy() if w0 is not None else random_weights(data.n_sites, cfg)
+    w = w0 if w0 is not None else random_weights(data.n_sites, cfg)
     w = canonicalize(w, 0)
     env = Environment(w, data)
     env.refresh_right(w)

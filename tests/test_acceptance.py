@@ -26,7 +26,7 @@ from wmera.cli import main as cli_main
 from wmera.coarsegrain import ScaleData, apply_layer, coarse_grain_dataset, single_particle_response
 from wmera.finegrain import fine_grain_weights
 from wmera.ingest import encode_sample
-from wmera.mps import BondTensor, canonicalize, inner, merge_bond, split_bond
+from wmera.mps import canonicalize, inner, merge_bond, split_bond
 from wmera.trainer import Environment, TrainConfig, cost, evaluate, local_gradient, train
 from wmera.wavelet import (
     DAUB4_ANGLES,
@@ -122,16 +122,15 @@ def test_04_gradient_check():
         env.refresh_left(w, up_to=j)
         env.refresh_right(w, down_to=j + 2)
         b = merge_bond(w, j)
-        grad = -local_gradient(env, b).value.ravel()
-        flat = b.value.ravel()
+        grad = -local_gradient(env, j, b).ravel()
+        flat = b.ravel()
         fd = np.empty_like(flat)
         for k in range(flat.size):
             cs = []
             for sgn in (1.0, -1.0):
                 v = flat.copy()
                 v[k] += sgn * h
-                w2, _ = split_bond(w, BondTensor(v.reshape(b.value.shape), j),
-                                   0.0, None, j)
+                w2, _ = split_bond(w, j, v.reshape(b.shape), 0.0, None, j)
                 cs.append(cost(w2, data))
             fd[k] = (cs[0] - cs[1]) / (2 * h)
         worst = max(worst, float(np.linalg.norm(fd - grad)

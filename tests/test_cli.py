@@ -1,6 +1,7 @@
 """Command-line front end: config resolution, caching, commands, exit codes."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -234,6 +235,32 @@ class TestExitCodes:
         assert run_cli("eval", "--config", cfg_path) == 5
         err = capsys.readouterr().err
         assert err.startswith("error:") and "wmera preprocess" in err
+
+    def test_unfinished_test_split_exits_5(self, tmp_path, capsys, monkeypatch):
+        """A test-split save that fails leaves scale files without a manifest;
+        train and eval refuse that cache instead of running with no test split."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert run_cli("train", "--config", cfg_path) == 0
+        write = wmera.coarsegrain.write_mps_record
+
+        def failing_write(stream, m):
+            if stream.name.endswith(f"test{os.sep}scale_001.bin"):
+                raise OSError("disk full")
+            write(stream, m)
+
+        monkeypatch.setattr(wmera.coarsegrain, "write_mps_record", failing_write)
+        write_wav(tmp_path / "data" / "s00.wav", np.full(16, 0.9))
+        with pytest.raises(OSError):
+            run_cli("preprocess", "--config", cfg_path)
+        test_dir = tmp_path / "out" / "cache" / "test"
+        assert (test_dir / "scale_000.bin").is_file()
+        assert not (test_dir / "manifest.json").exists()
+        capsys.readouterr()
+        for command in ("eval", "train"):
+            assert run_cli(command, "--config", cfg_path) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "wmera preprocess" in err
 
 
 class TestPreprocess:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from synthdata import random_mps, random_product_state
 from wmera.coarsegrain import (
-    MPSStack,
     ScaleCache,
     ScaleData,
     _compress,
@@ -22,7 +21,7 @@ from wmera.coarsegrain import (
     single_particle_response,
 )
 from wmera.errors import ArgumentError, DataError, DimensionError, FormatError, StateError
-from wmera.mps import MPS, BondTensor, canonicalize, inner, merge_bond, product_state, split_bond
+from wmera.mps import MPS, MPSStack, inner, product_state
 from wmera.wavelet import build_daub4_layer, build_haar_layer, daub4_from_angles, DAUB4_ANGLES
 
 
@@ -45,34 +44,72 @@ def dense_layer_oracle(vec: np.ndarray, layer, n: int) -> np.ndarray:
     return psi.ravel()
 
 
+def ref_move_center(cores: list, old, new: int) -> list:
+    """Per-chain gauge move by numpy QR, one core at a time; ``old = None``
+    orthogonalizes every core outside ``new``."""
+    cores = list(cores)
+    lo, hi = (0, len(cores) - 1) if old is None else (old, old)
+    for j in range(lo, new):
+        dl, d, dr = cores[j].shape
+        q, r = np.linalg.qr(cores[j].reshape(dl * d, dr))
+        cores[j] = q.reshape(dl, d, -1)
+        cores[j + 1] = np.tensordot(r, cores[j + 1], axes=(1, 0))
+    for j in range(hi, new, -1):
+        dl, d, dr = cores[j].shape
+        q, r = np.linalg.qr(cores[j].reshape(dl, d * dr).T)  # core = R^T Q^T
+        cores[j] = q.T.reshape(-1, d, dr)
+        cores[j - 1] = np.tensordot(cores[j - 1], r, axes=(2, 1))
+    return cores
+
+
+def ref_split(cores: list, j: int, block: np.ndarray, delta: float, chi) -> list:
+    """Per-chain truncated SVD split of a (left, site, site, right) block into
+    cores j and j + 1, singular values absorbed to the right. The rank rule:
+    keep s >= delta, at most chi, at least one."""
+    dl, d, d2, dr = block.shape
+    u, s, vh = np.linalg.svd(block.reshape(dl * d, d2 * dr), full_matrices=False)
+    keep = int(np.count_nonzero(s >= delta))
+    if chi is not None:
+        keep = min(keep, chi)
+    keep = max(keep, 1)
+    cores = list(cores)
+    cores[j] = u[:, :keep].reshape(dl, d, keep)
+    cores[j + 1] = (s[:keep, None] * vh[:keep]).reshape(keep, d2, dr)
+    return cores
+
+
+def ref_merge(cores: list, j: int) -> np.ndarray:
+    return np.tensordot(cores[j], cores[j + 1], axes=(2, 0))
+
+
 def reference_layer(m: MPS, layer, delta: float, chi) -> MPS:
-    """One layer applied gate by gate with the MPS primitives, one state at
-    a time: the reference the stacked kernel must reproduce, truncation
-    included."""
+    """One layer applied gate by gate to one state, on the per-chain
+    algebra above: the reference the stacked kernel must reproduce,
+    truncation included."""
     n = len(m)
     g4 = layer.disentangler.reshape(2, 2, 2, 2)
+    cores, center = m.cores, None
     for j in range(1, n - 2, 2):
-        m = canonicalize(m, j)
-        gated = np.einsum("lstr,stab->labr", merge_bond(m, j).value, g4)
-        m, _ = split_bond(m, BondTensor(gated, j), delta, chi, j + 1)
+        cores = ref_move_center(cores, center, j)
+        gated = np.einsum("lstr,stab->labr", ref_merge(cores, j), g4)
+        cores, center = ref_split(cores, j, gated, delta, chi), j + 1
     # wrap gate: a sum over per-end operator pairs, block-diagonal in between
     u, s, vh = np.linalg.svd(g4.transpose(0, 2, 1, 3).reshape(4, 4))
     keep = s > 1e-14
     left_ops = (u[:, keep] * np.sqrt(s[keep])).T.reshape(-1, 2, 2)
     right_ops = (np.sqrt(s[keep])[:, None] * vh[keep]).reshape(-1, 2, 2)
     eye = np.eye(len(left_ops))
-    cores = [np.concatenate([np.einsum("tb,ltr->lbr", q, m.cores[0]) for q in right_ops],
+    grown = [np.concatenate([np.einsum("tb,ltr->lbr", q, cores[0]) for q in right_ops],
                             axis=2)]
-    cores += [np.einsum("bc,lsr->blscr", eye, c).reshape(len(eye) * c.shape[0], 2, -1)
-              for c in m.cores[1:-1]]
-    cores.append(np.concatenate([np.einsum("sa,lsr->lar", p, m.cores[-1]) for p in left_ops],
+    grown += [np.einsum("bc,lsr->blscr", eye, c).reshape(len(eye) * c.shape[0], 2, -1)
+              for c in cores[1:-1]]
+    grown.append(np.concatenate([np.einsum("sa,lsr->lar", p, cores[-1]) for p in left_ops],
                                 axis=0))
-    m = canonicalize(MPS(cores), 0)
+    cores = ref_move_center(grown, None, 0)
     for j in range(n - 1):
-        m, _ = split_bond(m, merge_bond(m, j), delta, chi, j + 1)
+        cores = ref_split(cores, j, ref_merge(cores, j), delta, chi)
     v3 = layer.isometry.reshape(2, 2, 2)
-    return MPS([np.einsum("lstr,cst->lcr",
-                          np.tensordot(m.cores[2 * i], m.cores[2 * i + 1], axes=(2, 0)), v3)
+    return MPS([np.einsum("lstr,cst->lcr", ref_merge(cores, 2 * i), v3)
                 for i in range(n // 2)])
 
 

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthdata import random_mps
 from wmera.errors import DimensionError, FormatError, StateError
 from wmera.mps import (
     MPS,
+    MPSStack,
+    _canonicalize,
+    _merge,
+    _split,
     canonicalize,
     inner,
     load_mps,
@@ -101,8 +107,8 @@ class TestMergeSplit:
         dense = m.to_dense()
         b = merge_bond(m, 2)
         # economy QR during canonicalization trims the edge-adjacent bond to 2
-        assert b.value.shape == (3, 2, 2, 2)
-        out, err = split_bond(m, b, 0.0, None, new_center=3)
+        assert b.shape == (3, 2, 2, 2)
+        out, err = split_bond(m, 2, b, 0.0, None, new_center=3)
         assert err == 0.0
         np.testing.assert_allclose(out.to_dense(), dense, atol=1e-12)
         assert out.ortho_center == 3
@@ -118,9 +124,9 @@ class TestMergeSplit:
         rng = np.random.default_rng(8)
         m = canonicalize(random_mps(4, 2, rng), 1)
         b = merge_bond(m, 1)
-        theta = b.value.reshape(b.value.shape[0] * 2, -1)
+        theta = b.reshape(b.shape[0] * 2, -1)
         s = np.linalg.svd(theta, compute_uv=False)
-        out, err = split_bond(m, b, 0.0, 1, new_center=1)
+        out, err = split_bond(m, 1, b, 0.0, 1, new_center=1)
         assert abs(err - np.sum(s[1:] ** 2)) < 1e-12
         assert out.bond_dims[2] == 1
 
@@ -128,9 +134,136 @@ class TestMergeSplit:
         rng = np.random.default_rng(9)
         m = canonicalize(random_mps(5, 3, rng), 2)
         b = merge_bond(m, 2)
-        left, _ = split_bond(m, b, 0.0, None, new_center=2)
+        left, _ = split_bond(m, 2, b, 0.0, None, new_center=2)
         a = left.cores[3].reshape(left.cores[3].shape[0], -1)
         np.testing.assert_allclose(a @ a.T, np.eye(a.shape[0]), atol=1e-12)
+
+
+def mixed_states(seed: int, n_sites: int, n_samples: int) -> list[MPS]:
+    """Chains of one length and shared site dimensions (1-3), with every
+    interior bond drawn from 1-4 and norms from 1e-13 to 1, so that their
+    stack pads and their scales differ."""
+    rng = np.random.default_rng(seed)
+    sites = rng.integers(1, 4, n_sites)
+    states = []
+    for _ in range(n_samples):
+        dims = [1] + list(rng.integers(1, 5, n_sites - 1)) + [1]
+        m = MPS([rng.standard_normal((dims[i], sites[i], dims[i + 1]))
+                 for i in range(n_sites)])
+        scale = 10.0 ** rng.uniform(-13.0, 0.0) / np.sqrt(inner(m, m))
+        states.append(MPS([m.cores[0] * scale] + m.cores[1:]))
+    return states
+
+
+def relative_sq_distance(a: MPS, b: MPS) -> float:
+    aa, bb = inner(a, a), inner(b, b)
+    return (aa + bb - 2.0 * inner(a, b)) / aa
+
+
+def own_core(stack: MPSStack, i: int, j: int) -> np.ndarray:
+    """Sample i's own core j, after checking that the stack is padded to the
+    largest bonds with zeros only."""
+    bonds = stack.bonds
+    core = stack.cores[j]
+    assert core.shape[1] == bonds[:, j].max() and core.shape[3] == bonds[:, j + 1].max()
+    outside = core[i].copy()
+    outside[:bonds[i, j], :, :bonds[i, j + 1]] = 0.0
+    assert not outside.any()
+    return core[i, :bonds[i, j], :, :bonds[i, j + 1]]
+
+
+def assert_left_orthogonal(core: np.ndarray) -> None:
+    a = core.reshape(-1, core.shape[2])
+    np.testing.assert_allclose(a.T @ a, np.eye(a.shape[1]), atol=1e-12)
+
+
+def assert_right_orthogonal(core: np.ndarray) -> None:
+    a = core.reshape(core.shape[0], -1)
+    np.testing.assert_allclose(a @ a.T, np.eye(a.shape[0]), atol=1e-12)
+
+
+stacks = dict(seed=st.integers(0, 2 ** 32 - 1), n_sites=st.integers(2, 6),
+              n_samples=st.integers(1, 5), pick=st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestStackAlgebra:
+    """Properties of the batched kernel on padded stacks of mixed chains."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(**stacks)
+    def test_canonicalize_keeps_states_and_gauges_each_sample(self, seed, n_sites,
+                                                              n_samples, pick):
+        states = mixed_states(seed, n_sites, n_samples)
+        center = int(pick * n_sites)
+        stack = MPSStack.from_states(states)
+        _canonicalize(stack, center)
+        assert stack.center == center
+        for i, (got, want) in enumerate(zip(stack.states(), states)):
+            assert relative_sq_distance(got, want) <= 1e-12
+            for j in range(n_sites):
+                core = own_core(stack, i, j)
+                if j < center:
+                    assert_left_orthogonal(core)
+                elif j > center:
+                    assert_right_orthogonal(core)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(**stacks, absorb_left=st.booleans())
+    def test_merge_then_split_reproduces_each_sample(self, seed, n_sites, n_samples,
+                                                     pick, absorb_left):
+        states = mixed_states(seed, n_sites, n_samples)
+        j = int(pick * (n_sites - 1))
+        new_center = j if absorb_left else j + 1
+        stack = MPSStack.from_states(states)
+        _canonicalize(stack, j)
+        block = _merge(stack.cores[j], stack.cores[j + 1])
+        err = _split(stack, j, block, 0.0, None, new_center)
+        assert stack.center == new_center
+        for i, (got, want) in enumerate(zip(stack.states(), states)):
+            assert err[i] <= 1e-12 * inner(want, want)
+            assert relative_sq_distance(got, want) <= 1e-12
+            own_core(stack, i, j)
+            own_core(stack, i, j + 1)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(**stacks, chi=st.integers(1, 4), delta=st.sampled_from([0.0, 1e-12]))
+    def test_capped_split_matches_each_sample_alone(self, seed, n_sites, n_samples, pick,
+                                                     chi, delta):
+        """Each sample's kept rank and error are those of a numpy SVD of its
+        own block: the padding of its neighbours changes neither."""
+        states = mixed_states(seed, n_sites, n_samples)
+        j = int(pick * (n_sites - 1))
+        stack = MPSStack.from_states(states)
+        _canonicalize(stack, j)
+        blocks = _merge(stack.cores[j], stack.cores[j + 1])
+        bonds = stack.bonds.copy()
+        err = _split(stack, j, blocks, delta, chi, j + 1)
+        for i in range(n_samples):
+            own = blocks[i, :bonds[i, j], :, :, :bonds[i, j + 2]]
+            s = np.linalg.svd(own.reshape(bonds[i, j] * own.shape[1], -1), compute_uv=False)
+            keep = max(min(int(np.count_nonzero(s >= delta)), chi), 1)
+            assert stack.bonds[i, j + 1] == keep
+            assert abs(err[i] - np.sum(s[keep:] ** 2)) <= 1e-12 * np.sum(s ** 2)
+            own_core(stack, i, j)
+            own_core(stack, i, j + 1)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(seed=stacks["seed"], n_sites=stacks["n_sites"], pick=stacks["pick"],
+           absorb_left=st.booleans())
+    def test_adapters_leave_their_input_unchanged(self, seed, n_sites, pick, absorb_left):
+        m = mixed_states(seed, n_sites, 1)[0]
+        j = int(pick * (n_sites - 1))
+        before = [c.copy() for c in m.cores]
+        centered = canonicalize(m, j)
+        held = [c.copy() for c in centered.cores]
+        block = merge_bond(centered, j)
+        kept = block.copy()
+        out, _ = split_bond(centered, j, 2.0 * block, 0.0, 1, j + (not absorb_left))
+        for cores, snapshot in ((m.cores, before), (centered.cores, held)):
+            for c, c0 in zip(cores, snapshot):
+                np.testing.assert_array_equal(c, c0)
+        np.testing.assert_array_equal(block, kept)
+        assert out.ortho_center == j + (not absorb_left)
 
 
 class TestModelFiles:
