@@ -27,12 +27,13 @@ from .coarsegrain import (
     read_cache_manifest,
     save_cache,
 )
-from .errors import ArgumentError, DataError, FormatError, StateError, WmeraError
+from .errors import (ArgumentError, DataError, DimensionError, FormatError, StateError,
+                     WmeraError)
 from .finegrain import fine_grain_weights
 from .ingest import (
     RawSample,
     apply_scaler,
-    encode_sample,
+    encode_samples,
     fit_scaler,
     haar_preprocess,
     make_windows,
@@ -40,7 +41,7 @@ from .ingest import (
     read_series_csv,
     read_wav,
 )
-from .mps import MPS, load_mps, save_mps
+from .mps import MPS, MPSStack, load_mps, save_mps
 from .trainer import TrainConfig, evaluate, train
 from .util import canonical_json, sha256_file, sha256_hex
 from .wavelet import build_daub4_layer
@@ -292,28 +293,37 @@ def compute_fingerprint(cfg: PipelineConfig) -> str:
     return sha256_hex(canonical_json(payload).encode())
 
 
-def _encode_rows(rows: list[RawSample], scaler) -> tuple[list, np.ndarray]:
-    states = [encode_sample(apply_scaler(scaler, r.values)) for r in rows]
-    labels = np.array([r.label for r in rows])
-    return states, labels
+def _encode_rows(rows: list[RawSample], scaler) -> tuple[MPSStack, np.ndarray]:
+    """Scale and encode every row at once into one stack, with the labels."""
+    if len({r.values.size for r in rows}) > 1:
+        raise DimensionError("samples at one scale must share a length")
+    values = apply_scaler(scaler, np.stack([r.values for r in rows]))
+    return encode_samples(values), np.array([r.label for r in rows])
+
+
+def _fresh_manifest(directory: Path, fingerprint: str) -> dict | None:
+    """The cache manifest at ``directory`` if it is sound and built for
+    ``fingerprint``, else None."""
+    try:
+        manifest = read_cache_manifest(directory)
+    except (StateError, FormatError):
+        return None
+    return manifest if manifest.get("fingerprint") == fingerprint else None
 
 
 def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache | None]:
     """Load the preprocessing cache, rebuilding it when the fingerprint moved."""
     fingerprint = compute_fingerprint(cfg)
     root = cfg.cache_root
-    splits = {}
-    for split in ("train", "test"):
-        directory = root / split
-        try:
-            manifest = read_cache_manifest(directory)
-            splits[split] = manifest.get("fingerprint") == fingerprint
-        except (StateError, FormatError):
-            splits[split] = False
-    if splits["train"] and (splits["test"] or not (root / "test").exists()):
+    train = _fresh_manifest(root / "train", fingerprint)
+    # the train manifest records the test split's size; without it the cache
+    # cannot tell a dropped test split from a lost one, so it is rebuilt
+    n_test = train.get("test_samples") if train else None
+    if ((n_test == 0 and not (root / "test").exists())
+            or (n_test and _fresh_manifest(root / "test", fingerprint))):
         log(f"cache up to date at {root}")
         train_cache = load_cache(root / "train")
-        test_cache = load_cache(root / "test") if (root / "test").exists() else None
+        test_cache = load_cache(root / "test") if n_test else None
         return train_cache, test_cache
 
     log(f"building cache at {root}")
@@ -322,10 +332,12 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
     caches = {"train": None, "test": None}
     for split, rows in (("train", train_rows), ("test", test_rows)):
         if rows:
-            states, labels = _encode_rows(rows, scaler)
-            caches[split] = coarse_grain_dataset(states, labels, cfg.n_d4_layers,
+            stack, labels = _encode_rows(rows, scaler)
+            caches[split] = coarse_grain_dataset(stack, labels, cfg.n_d4_layers,
                                                  cfg.delta_data, cfg.chi_data,
                                                  fingerprint=fingerprint)
+            if split == "train":
+                caches[split].test_samples = len(test_rows)
             save_cache(caches[split], root / split)
         elif (root / split).exists():
             shutil.rmtree(root / split)  # a split the manifest no longer has
@@ -335,21 +347,22 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
 def _load_caches(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
     """Load the caches that ``wmera preprocess`` built for this configuration."""
     root = cfg.cache_root
-    test = root / "test"
-    splits = [root / "train", test] if test.exists() else [root / "train"]
-    for directory in splits:  # a directory without its manifest is an unfinished build
-        if not (directory / "manifest.json").is_file():
-            raise StateError(f"no preprocessing cache at {directory}; "
-                             "run 'wmera preprocess' first")
     fingerprint = compute_fingerprint(cfg)
-    caches = [None, None]
-    for i, directory in enumerate(splits):
-        cache = load_cache(directory)
-        if cache.fingerprint != fingerprint:
-            raise StateError(f"the cache at {directory} was built from other data or "
-                             "settings; run 'wmera preprocess' again")
-        caches[i] = cache
-    return caches[0], caches[1]
+    train = _load_built_cache(root / "train", fingerprint)
+    # the test split may be absent only when the train manifest says it is empty
+    test = _load_built_cache(root / "test", fingerprint) if train.test_samples != 0 else None
+    return train, test
+
+
+def _load_built_cache(directory: Path, fingerprint: str) -> ScaleCache:
+    if not (directory / "manifest.json").is_file():  # absent, or an unfinished build
+        raise StateError(f"no preprocessing cache at {directory}; "
+                         "run 'wmera preprocess' first")
+    cache = load_cache(directory)
+    if cache.fingerprint != fingerprint:
+        raise StateError(f"the cache at {directory} was built from other data or "
+                         "settings; run 'wmera preprocess' again")
+    return cache
 
 
 def write_snapshot(cfg: PipelineConfig, extra: dict | None = None) -> None:
@@ -506,9 +519,6 @@ def cmd_pipeline(cfg: PipelineConfig, args) -> int:
         report["final_cost"] = stats[-1].cost
         report["model_file"] = _model_path(cfg, scale).name
         summary.append(report)
-        for cache in (train_cache, test_cache):
-            if cache is not None:
-                cache.scales[scale].release_stack()  # free a finished scale's stacks
         print(f"scale {scale}: train_metric {report['train_metric']:.6g}"
               + (f", test_metric {report['test_metric']:.6g}"
                  if report["test_metric"] is not None else ""))

@@ -15,18 +15,23 @@ operator rank (4 for Daub4), and one compression sweep restores minimal
 bonds. Isometries then contract the even pairs into coarse sites, halving the
 chain.
 
-A dataset goes through each layer in chunks of consecutive samples whose
-wrap-enlarged stack fits ``_CHUNK_BYTES``; a chunk holds at least one sample.
-Single states (:func:`apply_layer`, :func:`apply_pair_gates` and
-fine-graining) run the same kernel as a stack of one.
+A dataset is one stack per scale, from encoding through the cache to
+training. It goes through each layer in chunks of consecutive samples whose
+wrap-enlarged stack fits ``_CHUNK_BYTES``; a chunk holds at least one sample,
+and the coarser chunks are joined into the next scale's stack. Single states
+(:func:`apply_layer`, :func:`apply_pair_gates` and fine-graining) run the
+same kernel as a stack of one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +43,8 @@ from .errors import (
     StateError,
 )
 from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, inner, product_state,
-                  read_mps_record, write_mps_record)
-from .util import sha256_file
+                  read_mps_records, write_mps_record)
+from .util import sha256_file, sha256_hex
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
 # A gate contracts its first (row) index with the incoming pair state:
@@ -56,12 +61,11 @@ _IDENTITY4 = np.eye(4)
 _CHUNK_BYTES = 4 << 20
 
 
-def _check_states(states: list[MPS], n_sites: int) -> None:
-    for s in states:
-        if len(s) != n_sites:
-            raise DimensionError(f"layer expects {n_sites} sites, state has {len(s)}")
-        if any(d != 2 for d in s.site_dims):
-            raise DimensionError("layers expect site dimension 2 everywhere")
+def _check_sites(st: MPSStack, n_sites: int) -> None:
+    if len(st.cores) != n_sites:
+        raise DimensionError(f"layer expects {n_sites} sites, states have {len(st.cores)}")
+    if any(c.shape[2] != 2 for c in st.cores):
+        raise DimensionError("layers expect site dimension 2 everywhere")
 
 
 def _gate_matrix(gate: np.ndarray) -> np.ndarray:
@@ -158,8 +162,8 @@ def apply_pair_gates(m: MPS, gate: np.ndarray, delta: float,
     Returns the new state and the summed truncation error. The identity gate
     short-circuits to an equal state.
     """
-    _check_states([m], len(m))
     st = MPSStack.from_states([m])
+    _check_sites(st, len(m))
     err = _apply_pair_gates(st, gate, delta, chi_max)
     return st.states()[0], float(err[0])
 
@@ -174,9 +178,10 @@ def apply_isometries(st: MPSStack, layer: WaveletMeraLayer) -> MPSStack:
     return MPSStack(cores, st.bonds[:, ::2].copy())
 
 
-def _chunks(states: list[MPS], layer: WaveletMeraLayer,
-            chi_max: int | None) -> list[list[MPS]]:
-    """Consecutive runs of ``states`` whose wrap-enlarged stack fits _CHUNK_BYTES.
+def _chunks(bonds: np.ndarray, layer: WaveletMeraLayer,
+            chi_max: int | None) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of consecutive samples, given their ``bonds``,
+    whose wrap-enlarged stack fits _CHUNK_BYTES.
 
     Adjacent gates can at most double an even cut relative to its odd
     neighbours (capped at ``chi_max``) and leave odd cuts as they are; the
@@ -184,7 +189,6 @@ def _chunks(states: list[MPS], layer: WaveletMeraLayer,
     rank.
     """
     rank = len(_end_operator_pairs(_gate_matrix(layer.disentangler))[0])
-    bonds = np.array([s.bond_dims for s in states])
     grown = bonds.copy()
     grown[:, 2:-1:2] = 2 * np.minimum(bonds[:, 1:-2:2], bonds[:, 3::2])
     if chi_max is not None:
@@ -192,36 +196,37 @@ def _chunks(states: list[MPS], layer: WaveletMeraLayer,
     grown[:, 1:-1] *= rank
     chunks, start = [], 0
     extent = grown[0]
-    for i in range(1, len(states)):
+    for i in range(1, len(bonds)):
         wider = np.maximum(extent, grown[i])
         if (i - start + 1) * 16 * int(wider[:-1] @ wider[1:]) > _CHUNK_BYTES:
-            chunks.append(states[start:i])
+            chunks.append((start, i))
             start, wider = i, grown[i]
         extent = wider
-    chunks.append(states[start:])
+    chunks.append((start, len(bonds)))
     return chunks
 
 
-def _layer_states(states: list[MPS], layer: WaveletMeraLayer, delta: float,
-                  chi_max: int | None) -> list[MPS]:
-    """Every state one layer coarser, chunk by chunk."""
-    _check_states(states, layer.n_sites_in)
-    out: list[MPS] = []
-    for chunk in _chunks(states, layer, chi_max):
-        st = MPSStack.from_states(chunk)
-        _apply_pair_gates(st, layer.disentangler, delta, chi_max)
-        out.extend(apply_isometries(st, layer).states())
-    return out
+def _layer_states(st: MPSStack, layer: WaveletMeraLayer, delta: float,
+                  chi_max: int | None) -> MPSStack:
+    """Every sample of ``st`` one layer coarser, chunk by chunk; ``st`` is
+    left as it was."""
+    _check_sites(st, layer.n_sites_in)
+    out = []
+    for lo, hi in _chunks(st.bonds, layer, chi_max):
+        chunk = st.rows(lo, hi)
+        _apply_pair_gates(chunk, layer.disentangler, delta, chi_max)
+        out.append(apply_isometries(chunk, layer))
+    return MPSStack.concatenate(out)
 
 
 def apply_layer(m: MPS, layer: WaveletMeraLayer, delta_data: float = 1e-12,
                 chi_data: int | None = 16) -> MPS:
-    return _layer_states([m], layer, delta_data, chi_data)[0]
+    return _layer_states(MPSStack.from_states([m]), layer, delta_data, chi_data).states()[0]
 
 
-def _ladder(states: list[MPS], n_layers: int, delta_data: float,
-            chi_data: int | None) -> list[list[MPS]]:
-    n_sites = len(states[0])
+def _ladder(st: MPSStack, n_layers: int, delta_data: float,
+            chi_data: int | None) -> list[MPSStack]:
+    n_sites = len(st.cores)
     if n_layers < 0:
         raise ArgumentError("n_layers must be >= 0")
     if n_layers:
@@ -230,9 +235,9 @@ def _ladder(states: list[MPS], n_layers: int, delta_data: float,
         if n_sites >> (n_layers - 1) < 4:
             raise ArgumentError(f"{n_layers} layers on {n_sites} sites would leave "
                                 "fewer than two coarse sites")
-    scales = [states]
+    scales = [st]
     for _ in range(n_layers):
-        layer = build_daub4_layer(len(scales[-1][0]))
+        layer = build_daub4_layer(len(scales[-1].cores))
         scales.append(_layer_states(scales[-1], layer, delta_data, chi_data))
     return scales
 
@@ -244,7 +249,8 @@ def coarse_grain_sample(m: MPS, n_layers: int, delta_data: float = 1e-12,
     The chain length must be divisible by 2**n_layers and the coarsest chain
     must keep at least two sites.
     """
-    return [scale[0] for scale in _ladder([m], n_layers, delta_data, chi_data)]
+    return [scale.states()[0] for scale in
+            _ladder(MPSStack.from_states([m]), n_layers, delta_data, chi_data)]
 
 
 def single_particle_response(layer: WaveletMeraLayer, n: int | None = None) -> np.ndarray:
@@ -264,7 +270,7 @@ def single_particle_response(layer: WaveletMeraLayer, n: int | None = None) -> n
               for k in range(n // 2)]
     fines = [product_state([excited if i == j else ground for i in range(n)])
              for j in range(n)]
-    coarse = _layer_states(fines, layer, 0.0, None)
+    coarse = _layer_states(MPSStack.from_states(fines), layer, 0.0, None).states()
     resp = np.zeros((n // 2, n))
     for j in range(n):
         for k, probe in enumerate(probes):
@@ -272,47 +278,38 @@ def single_particle_response(layer: WaveletMeraLayer, n: int | None = None) -> n
     return resp
 
 
-@dataclass
 class ScaleData:
     """Samples and labels at one coarse-graining depth.
 
-    ``stack`` holds the samples as one :class:`MPSStack`, built on first use
-    and shared by everything that contracts the data (training, outputs,
-    evaluation) until :meth:`release_stack` drops it.
+    The samples are held as one read-only :class:`MPSStack`, ``stack``,
+    which training, outputs, evaluation and the cache all use. It is given
+    directly (its arrays are then made read-only) or stacked from a list of
+    states; ``samples`` views each sample as its own MPS.
     """
 
-    samples: list[MPS]
-    labels: np.ndarray
-    _stack: MPSStack | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("stack", "labels")
 
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        if self.labels.ndim != 1 or len(self.labels) != len(self.samples):
+    def __init__(self, samples: MPSStack | Sequence[MPS], labels):
+        if not isinstance(samples, MPSStack):
+            samples = MPSStack.from_states(list(samples))
+        self.labels = np.asarray(labels, dtype=np.float64)
+        if self.labels.ndim != 1 or len(self.labels) != len(samples.bonds):
             raise DimensionError("labels must be one scalar per sample")
-        if self.samples:
-            n = len(self.samples[0])
-            if any(len(s) != n for s in self.samples):
-                raise DimensionError("samples at one scale must share a length")
+        for c in samples.cores:
+            c.flags.writeable = False
+        self.stack = samples
+
+    @property
+    def samples(self) -> list[MPS]:
+        return self.stack.states()
 
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
+        return len(self.stack.bonds)
 
     @property
     def n_sites(self) -> int:
-        return len(self.samples[0]) if self.samples else 0
-
-    @property
-    def stack(self) -> MPSStack:
-        if self._stack is None:
-            dims = self.samples[0].site_dims
-            if any(s.site_dims != dims for s in self.samples):
-                raise DimensionError("samples at one scale must share site dimensions")
-            self._stack = MPSStack.from_states(self.samples)
-        return self._stack
-
-    def release_stack(self) -> None:
-        self._stack = None
+        return len(self.stack.cores)
 
 
 @dataclass
@@ -323,6 +320,7 @@ class ScaleCache:
     delta_data: float = 1e-12
     chi_data: int | None = 16
     fingerprint: str = ""
+    test_samples: int | None = None  # size of the test split, kept with a train split
 
     def __post_init__(self):
         if not self.scales:
@@ -338,17 +336,19 @@ class ScaleCache:
         return len(self.scales)
 
 
-def coarse_grain_dataset(samples: list[MPS], labels, n_layers: int,
+def coarse_grain_dataset(samples: MPSStack | Sequence[MPS], labels, n_layers: int,
                          delta_data: float = 1e-12, chi_data: int | None = 16,
                          fingerprint: str = "") -> ScaleCache:
-    """Coarse-grain every sample through n_layers and collect the ladder."""
+    """Coarse-grain every sample through n_layers and collect the ladder.
+
+    A given stack becomes the read-only finest scale of the result.
+    """
     labels = np.asarray(labels, dtype=np.float64)
-    if not samples:
-        raise ArgumentError("empty dataset")
-    if len(labels) != len(samples):
+    st = samples if isinstance(samples, MPSStack) else MPSStack.from_states(list(samples))
+    if len(labels) != len(st.bonds):
         raise DimensionError("labels must be one scalar per sample")
-    scales = _ladder(list(samples), n_layers, delta_data, chi_data)
-    return ScaleCache([ScaleData(states, labels.copy()) for states in scales],
+    scales = _ladder(st, n_layers, delta_data, chi_data)
+    return ScaleCache([ScaleData(scale, labels.copy()) for scale in scales],
                       delta_data, chi_data, fingerprint)
 
 
@@ -391,6 +391,8 @@ def save_cache(cache: ScaleCache, directory) -> None:
         "labels": [float(y) for y in cache.scales[0].labels],
         "scales": scales_meta,
     }
+    if cache.test_samples is not None:
+        manifest["test_samples"] = cache.test_samples
     partial = directory / "manifest.json.partial"
     with open(partial, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -398,7 +400,61 @@ def save_cache(cache: ScaleCache, directory) -> None:
     os.replace(partial, manifest_path)
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # JSON integers load as int, true/false as bool
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _check_manifest(path: Path, manifest) -> None:
+    """FormatError unless every field that :func:`load_cache` reads is sound."""
+    def bad(what: str):
+        raise FormatError(f"{path}: {what}")
+
+    if not isinstance(manifest, dict) or manifest.get("format") != _CACHE_FORMAT:
+        bad("not a cache manifest")
+    if manifest.get("version") != _CACHE_VERSION:
+        bad(f"unsupported cache version {manifest.get('version')}")
+    if not isinstance(manifest.get("fingerprint", ""), str):
+        bad("fingerprint must be a string")
+    labels = manifest.get("labels")
+    if not isinstance(labels, list) or not all(_is_number(y) for y in labels):
+        bad("labels must be a list of finite numbers")
+    scales = manifest.get("scales")
+    if not isinstance(scales, list) or not scales:
+        bad("scales must be a nonempty list")
+    for level, meta in enumerate(scales):
+        if not isinstance(meta, dict):
+            bad(f"scale {level} must be an object")
+        name = meta.get("file")
+        if (not isinstance(name, str) or not re.fullmatch(r"[\w.-]+", name)
+                or name in (".", "..")):
+            bad(f"scale {level}: file must be a plain file name")
+        n_sites = meta.get("n_sites")
+        if not _is_int(n_sites) or n_sites < 1:
+            bad(f"scale {level}: n_sites must be a positive integer")
+        if level and 2 * n_sites != scales[level - 1]["n_sites"]:
+            bad(f"scale {level}: n_sites must halve from scale to scale")
+        n_samples = meta.get("n_samples")
+        if not _is_int(n_samples) or n_samples < 1 or n_samples != len(labels):
+            bad(f"scale {level}: n_samples must be a positive integer, one per label")
+        digest = meta.get("sha256")
+        if not isinstance(digest, str) or not re.fullmatch("[0-9a-f]{64}", digest):
+            bad(f"scale {level}: sha256 must be 64 hex digits")
+    if not _is_number(manifest.get("delta_data")) or manifest["delta_data"] < 0:
+        bad("delta_data must be a number >= 0")
+    chi = manifest.get("chi_data", 0)
+    if chi is not None and (not _is_int(chi) or chi < 1):
+        bad("chi_data must be null or an integer >= 1")
+    count = manifest.get("test_samples")
+    if count is not None and (not _is_int(count) or count < 0):
+        bad("test_samples must be an integer >= 0")
+
+
 def read_cache_manifest(directory) -> dict:
+    """The manifest of the cache at ``directory``, checked field by field."""
     path = Path(directory) / "manifest.json"
     if not path.is_file():
         raise StateError(f"no cache manifest at {path}")
@@ -406,15 +462,16 @@ def read_cache_manifest(directory) -> dict:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if manifest.get("format") != _CACHE_FORMAT:
-        raise FormatError(f"{path}: not a cache manifest")
-    if manifest.get("version") != _CACHE_VERSION:
-        raise FormatError(f"{path}: unsupported cache version {manifest.get('version')}")
+    _check_manifest(path, manifest)
     return manifest
 
 
 def load_cache(directory) -> ScaleCache:
-    """Load and verify a cache; checksum mismatches are hard errors."""
+    """Load and verify a cache; checksum mismatches are hard errors.
+
+    Each scale file is read once: its bytes are hashed, then parsed straight
+    into the scale's stack.
+    """
     directory = Path(directory)
     manifest = read_cache_manifest(directory)
     labels = np.asarray(manifest["labels"], dtype=np.float64)
@@ -423,18 +480,17 @@ def load_cache(directory) -> ScaleCache:
         path = directory / meta["file"]
         if not path.is_file():
             raise StateError(f"cache file missing: {path}")
-        digest = sha256_file(path)
+        data = path.read_bytes()
+        digest = sha256_hex(data)
         if digest != meta["sha256"]:
             raise DataError(f"checksum mismatch for {path}: manifest says "
                             f"{meta['sha256'][:12]}..., file is {digest[:12]}...")
-        samples = []
-        with open(path, "rb") as f:
-            for _ in range(meta["n_samples"]):
-                samples.append(read_mps_record(f))
-        if any(len(s) != meta["n_sites"] for s in samples):
+        try:
+            st = read_mps_records(data, meta["n_samples"])
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        if len(st.cores) != meta["n_sites"]:
             raise FormatError(f"{path}: sample width disagrees with manifest")
-        scales.append(ScaleData(samples, labels.copy()))
-    chi = manifest["chi_data"]
-    return ScaleCache(scales, float(manifest["delta_data"]),
-                      None if chi is None else int(chi),
-                      manifest.get("fingerprint", ""))
+        scales.append(ScaleData(st, labels.copy()))
+    return ScaleCache(scales, float(manifest["delta_data"]), manifest["chi_data"],
+                      manifest.get("fingerprint", ""), manifest.get("test_samples"))

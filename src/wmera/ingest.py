@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DataError, FormatError
-from .mps import MPS, product_state
+from .mps import MPS, MPSStack
 from .wavelet import haar_step
 
 
@@ -193,11 +193,24 @@ def apply_scaler(scaler: FeatureScaler, values) -> np.ndarray:
     return np.clip((x - scaler.lo) / (scaler.hi - scaler.lo), 0.0, 1.0)
 
 
+def encode_samples(values) -> MPSStack:
+    """Product-state feature map of every row of a (samples, sites) array,
+    as one stack: site vector (1, x) at every site, every bond of extent 1."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise ArgumentError("encoding expects a nonempty (samples, sites) array")
+    if not np.all(np.isfinite(x)):
+        raise DataError("encoding: non-finite feature value")
+    n, n_sites = x.shape
+    cores = np.empty((n_sites, n, 1, 2, 1))
+    cores[:, :, 0, 0, 0] = 1.0
+    cores[:, :, 0, 1, 0] = x.T
+    return MPSStack(list(cores), np.ones((n, n_sites + 1), dtype=int))
+
+
 def encode_sample(values) -> MPS:
-    """Product-state feature map: site vector (1, x_i) at every site."""
+    """Product-state feature map of one series: site vector (1, x_i) at every site."""
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ArgumentError("encode_sample expects a nonempty 1-d series")
-    if not np.all(np.isfinite(x)):
-        raise DataError("encode_sample: non-finite feature value")
-    return product_state([np.array([1.0, v]) for v in x])
+    return encode_samples(x[None]).states()[0]

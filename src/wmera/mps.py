@@ -6,7 +6,9 @@ operation returns a new state and never mutates core arrays in place, so
 unchanged cores may be shared between instances. Gauge moves, two-site
 merges and truncated SVD splits run batched on an :class:`MPSStack`;
 :func:`canonicalize`, :func:`merge_bond` and :func:`split_bond` run them on
-a single state as a stack of one that views its cores.
+a single state as a stack of one that views its cores. State records, of
+model files and cache scale files alike, are parsed in one place,
+:func:`read_mps_records`, straight into a stack.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, FormatError, NumericError, StateError
-from .tensor import read_tensor, write_tensor
+from .tensor import write_tensor
 
 
 class MPS:
@@ -131,22 +133,48 @@ class MPSStack:
     @classmethod
     def from_states(cls, states: list[MPS]) -> "MPSStack":
         """Stack states of one length whose site dimensions agree site by site."""
-        bonds = np.array([s.bond_dims for s in states])
-        cores = []
-        for j, d in enumerate(states[0].site_dims):
-            stacked = np.zeros((len(states), bonds[:, j].max(), d, bonds[:, j + 1].max()))
-            for i, s in enumerate(states):
-                core = s.cores[j]
-                stacked[i, :core.shape[0], :, :core.shape[2]] = core
-            cores.append(stacked)
-        centers = {s.ortho_center for s in states}
+        if not states:
+            raise ArgumentError("no states to stack")
+        dims = states[0].site_dims
+        if any(s.site_dims != dims for s in states):
+            raise DimensionError("stacked states must share their length and site dimensions")
+        return cls.concatenate([cls([c[None] for c in s.cores], np.array([s.bond_dims]),
+                                    s.ortho_center) for s in states])
+
+    @classmethod
+    def concatenate(cls, stacks: list["MPSStack"]) -> "MPSStack":
+        """Stacks of one length and site dimensions, one after another,
+        padded only as far as the widest sample's bonds."""
+        bonds = np.concatenate([s.bonds for s in stacks])
+        ext = bonds.max(axis=0)
+        cores = [np.zeros((len(bonds), ext[j], c.shape[2], ext[j + 1]))
+                 for j, c in enumerate(stacks[0].cores)]
+        lo = 0
+        for s in stacks:
+            hi, own = lo + len(s.bonds), s.bonds.max(axis=0)
+            for j, c in enumerate(s.cores):
+                cores[j][lo:hi, :own[j], :, :own[j + 1]] = c[:, :own[j], :, :own[j + 1]]
+            lo = hi
+        centers = {s.center for s in stacks}
         return cls(cores, bonds, centers.pop() if len(centers) == 1 else None)
 
+    def rows(self, lo: int, hi: int) -> "MPSStack":
+        """A copy of samples ``lo`` to ``hi - 1``, padded only as far as their
+        own widest bonds, that kernel steps may update in place."""
+        bonds = self.bonds[lo:hi].copy()
+        ext = bonds.max(axis=0)
+        return MPSStack([c[lo:hi, :ext[j], :, :ext[j + 1]].copy()
+                         for j, c in enumerate(self.cores)], bonds, self.center)
+
     def states(self) -> list[MPS]:
-        """Every sample as its own MPS, trimmed to its own bonds."""
-        return [MPS._from_valid([c[i, :b[j], :, :b[j + 1]].copy()
+        """Every sample as its own MPS, trimmed to its own bonds.
+
+        The cores are views of this stack's arrays, so a later kernel step
+        on the stack changes them.
+        """
+        return [MPS._from_valid([c[i, :b[j], :, :b[j + 1]]
                                  for j, c in enumerate(self.cores)], self.center)
-                for i, b in enumerate(self.bonds)]
+                for i, b in enumerate(self.bonds.tolist())]
 
 
 def _trim_left(core: np.ndarray, dims: np.ndarray) -> None:
@@ -321,10 +349,13 @@ def split_bond(m: MPS, j: int, block: np.ndarray, delta: float, chi_max: int | N
     return MPS._from_valid(cores, new_center), float(err[0])
 
 
-# Model file layout: magic, format version (u32), core count (u32), cores.
+# Model file layout: magic, format version (u32), one state record. A state
+# record is its core count (u32), then each core as a tensor record (see
+# :mod:`wmera.tensor`) of rank 3; cache scale files are state records back to back.
 MPS_MAGIC = b"WMERA-MPS"
 MPS_FORMAT_VERSION = 1
 _U32 = struct.Struct("<I")
+_CORE_HEAD = struct.Struct("<IQQQ")  # tensor record header of a core: rank 3, extents
 
 
 def write_mps_record(stream: BinaryIO, m: MPS) -> None:
@@ -334,17 +365,75 @@ def write_mps_record(stream: BinaryIO, m: MPS) -> None:
         write_tensor(stream, c)
 
 
-def read_mps_record(stream: BinaryIO) -> MPS:
-    head = stream.read(_U32.size)
-    if len(head) < _U32.size:
-        raise FormatError("truncated state record: missing core count")
-    (count,) = _U32.unpack(head)
-    if count == 0:
-        raise FormatError("state record with zero cores")
+def read_mps_records(buf: bytes, count: int) -> MPSStack:
+    """``count`` state records that fill ``buf`` exactly, as one zero-padded
+    stack.
+
+    The records must share their length and, site by site, their site
+    dimension. Every header is checked, and every extent against the bytes
+    the buffer still holds, before a core array is allocated; any defect,
+    trailing bytes included, is a FormatError.
+    """
+    if count < 1:
+        raise ArgumentError("read_mps_records needs at least one record")
+    size, pos = len(buf), 0
+    unpack_core, head_size = _CORE_HEAD.unpack_from, _CORE_HEAD.size
+    bonds, offsets, dims = [], [], None
+    i = 0
     try:
-        return MPS([read_tensor(stream) for _ in range(count)])
-    except (ArgumentError, DimensionError) as exc:
-        raise FormatError(f"inconsistent state record: {exc}") from exc
+        for i in range(count):
+            (n_cores,) = _U32.unpack_from(buf, pos)
+            pos += _U32.size
+            if n_cores == 0:
+                raise FormatError(f"state record {i} has zero cores")
+            if dims is not None and n_cores != len(dims):
+                raise FormatError(f"state record {i} has {n_cores} cores, "
+                                  f"record 0 has {len(dims)}")
+            left, row_bonds, row_offsets, row_dims = 1, [1], [], []
+            for j in range(n_cores):
+                rank, bl, d, br = unpack_core(buf, pos)
+                pos += head_size
+                n_bytes = 8 * bl * d * br
+                if rank != 3 or bl != left or not n_bytes:
+                    raise FormatError(f"state record {i}: core {j} has rank {rank} and "
+                                      f"extents ({bl}, {d}, {br}) after a bond of {left}")
+                if n_bytes > size - pos:
+                    raise FormatError(f"truncated state record {i}: core {j} claims "
+                                      f"{n_bytes} bytes, {size - pos} left")
+                row_bonds.append(br)
+                row_offsets.append(pos)
+                row_dims.append(d)
+                pos += n_bytes
+                left = br
+            if left != 1:
+                raise FormatError(f"state record {i}: right boundary bond has extent {left}")
+            if dims is None:
+                dims = row_dims
+            elif row_dims != dims:
+                raise FormatError(f"state record {i}: site dimensions differ from record 0")
+            bonds.append(row_bonds)
+            offsets.append(row_offsets)
+    except struct.error:
+        raise FormatError(f"truncated state record {i}: a header is cut off") from None
+    if pos != size:
+        raise FormatError(f"{size - pos} bytes after the last state record")
+    ext = np.max(bonds, axis=0)
+    cores = [np.zeros((count, ext[j], d, ext[j + 1])) for j, d in enumerate(dims)]
+    # Every field before a core's values is 4 or 28 bytes and every value 8,
+    # so values start 0 or 4 bytes past a multiple of 8: slice them from one
+    # of two word views of the buffer.
+    words = [np.frombuffer(buf, "<f8", (size - r) // 8, r) for r in (0, 4)]
+    for i, (row_bonds, row_offsets) in enumerate(zip(bonds, offsets)):
+        for j, off in enumerate(row_offsets):
+            bl, d, br = row_bonds[j], dims[j], row_bonds[j + 1]
+            w = off >> 3
+            cores[j][i, :bl, :, :br] = words[off >> 2 & 1][w:w + bl * d * br].reshape(bl, d, br)
+    return MPSStack(cores, np.array(bonds))
+
+
+def read_mps_record(stream: BinaryIO) -> MPS:
+    """The one state record that makes up the rest of ``stream``."""
+    return read_mps_records(stream.read(), 1).states()[0]
 
 
 def save_mps(path, m: MPS) -> None:
@@ -365,4 +454,7 @@ def load_mps(path) -> MPS:
         (version,) = _U32.unpack(raw)
         if version != MPS_FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
-        return read_mps_record(f)
+        try:
+            return read_mps_record(f)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None

@@ -1,7 +1,10 @@
 """Command-line front end: config resolution, caching, commands, exit codes."""
 
+import functools
 import json
+import operator
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -199,6 +202,14 @@ class TestExitCodes:
         assert run_cli("preprocess", "--config", cfg_path) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_clips_of_different_lengths_exit_2(self, tmp_path, capsys):
+        """Without pad_to, clips must share a length to be encoded as one stack."""
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG.replace("pad_to = 16\n", ""))
+        write_wav(tmp_path / "data" / "s01.wav", np.full(32, 0.25))
+        assert run_cli("preprocess", "--config", cfg_path) == 2
+        assert "share a length" in capsys.readouterr().err
+
     def test_train_without_cache_exits_5(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
         assert run_cli("train", "--config", cfg_path) == 5
@@ -261,6 +272,87 @@ class TestExitCodes:
             assert run_cli(command, "--config", cfg_path) == 5
             err = capsys.readouterr().err
             assert err.startswith("error:") and "wmera preprocess" in err
+
+
+    _DROP = object()
+
+    @pytest.mark.parametrize("where, value", [
+        (("scales", 0, "n_samples"), _DROP),
+        (("scales", 0, "n_samples"), "many"),
+        (("scales", 0, "n_samples"), 0),
+        (("scales", 1, "n_samples"), 13),
+        (("scales", 0, "n_sites"), True),
+        (("scales", 1, "n_sites"), 8),
+        (("scales", 0, "file"), "../train/scale_000.bin"),
+        (("scales", 0, "file"), 7),
+        (("scales", 0, "sha256"), "not-a-digest"),
+        (("scales", 0), "scale_000.bin"),
+        (("scales",), []),
+        (("labels", 0), _DROP),
+        (("labels", 0), "1"),
+        (("labels",), None),
+        (("delta_data",), _DROP),
+        (("delta_data",), "tiny"),
+        (("chi_data",), 0),
+        (("chi_data",), 8.5),
+        (("fingerprint",), None),
+        (("test_samples",), "six"),
+        ((), ["a list, not an object"]),
+    ], ids=["n_samples-missing", "n_samples-a-string", "n_samples-zero",
+            "n_samples-not-one-per-label", "n_sites-a-bool", "n_sites-not-halving",
+            "file-with-a-path", "file-not-a-string", "sha256-not-hex", "scale-a-string",
+            "scales-empty", "labels-short", "label-a-string", "labels-missing",
+            "delta_data-missing", "delta_data-a-string", "chi_data-zero",
+            "chi_data-a-float", "fingerprint-null", "test_samples-a-string",
+            "top-level-list"])
+    def test_bad_cache_manifest_field_exits_3(self, tmp_path, capsys, where, value):
+        """Every cache manifest field that loading reads is checked: a bad one
+        exits 3 with an error line, not a traceback."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        path = tmp_path / "out" / "cache" / "train" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if not where:
+            manifest = value
+        else:
+            *route, key = where
+            owner = functools.reduce(operator.getitem, route, manifest)
+            if value is self._DROP:
+                del owner[key]
+            else:
+                owner[key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("counted", [True, False], ids=["counted", "uncounted"])
+    def test_missing_test_split_exits_5(self, tmp_path, capsys, counted):
+        """The train manifest counts the test split, so a deleted cache/test/
+        is not read as "no test split": train and eval exit 5 and preprocess
+        builds it again. A manifest without the count (an older build) is
+        treated the same way."""
+        cfg_path = classification_workspace(tmp_path, n_test=6)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert run_cli("train", "--config", cfg_path) == 0
+        cache = tmp_path / "out" / "cache"
+        manifest_path = cache / "train" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["test_samples"] == 6
+        if not counted:
+            del manifest["test_samples"]
+            manifest_path.write_text(json.dumps(manifest))
+        shutil.rmtree(cache / "test")
+        capsys.readouterr()
+        for command in ("eval", "train"):
+            assert run_cli(command, "--config", cfg_path) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "wmera preprocess" in err
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert "building cache" in capsys.readouterr().out
+        assert run_cli("eval", "--config", cfg_path) == 0
+        assert json.loads((tmp_path / "out" / "eval_scale1.json").read_text())[
+            "test_metric"] is not None
 
 
 class TestPreprocess:

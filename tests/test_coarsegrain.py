@@ -1,6 +1,10 @@
 """Layer application on chains, checked against brute-force dense states."""
 
+import hashlib
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +368,93 @@ class TestCachePersistence:
         coarse = ScaleData([random_product_state(6, rng)], np.array([1.0]))
         with pytest.raises(DimensionError):
             ScaleCache([fine, coarse])
+
+
+def random_stack(seed: int, n_samples: int, n_sites: int) -> MPSStack:
+    """Random chains padded into one stack: site dimensions 1-3 shared site
+    by site, interior bonds 1-5 drawn for every sample on its own."""
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(1, 4, n_sites)
+    bonds = np.ones((n_samples, n_sites + 1), dtype=int)
+    bonds[:, 1:-1] = rng.integers(1, 6, (n_samples, n_sites - 1))
+    cores = []
+    for j, d in enumerate(dims):
+        core = np.zeros((n_samples, bonds[:, j].max(), d, bonds[:, j + 1].max()))
+        for i, b in enumerate(bonds):
+            core[i, :b[j], :, :b[j + 1]] = rng.standard_normal((b[j], d, b[j + 1]))
+        cores.append(core)
+    return MPSStack(cores, bonds)
+
+
+def reference_records(st: MPSStack) -> tuple[bytes, list[int]]:
+    """The version-1 scale file of ``st``, written field by field from the
+    documented layout (per sample: core count u32; per core: rank u32, three
+    extents u64, little-endian f64 data), and the offsets of its header bytes."""
+    out, headers = bytearray(), []
+    for i, b in enumerate(st.bonds):
+        headers += range(len(out), len(out) + 4)
+        out += struct.pack("<I", len(st.cores))
+        for j, c in enumerate(st.cores):
+            core = c[i, :b[j], :, :b[j + 1]]
+            headers += range(len(out), len(out) + 28)
+            out += struct.pack("<IQQQ", 3, *core.shape)
+            out += core.astype("<f8").tobytes()
+    return bytes(out), headers
+
+
+class TestCacheReader:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 6),
+           n_sites=st.integers(2, 8))
+    def test_round_trip_of_padded_stacks(self, seed, n_samples, n_sites):
+        """A saved stack loads back with equal arrays and bonds, from a file
+        whose bytes equal the per-record reference writer's."""
+        st_in = random_stack(seed, n_samples, n_sites)
+        want, _ = reference_records(st_in)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_cache(ScaleCache([ScaleData(st_in, np.arange(n_samples))]), tmp)
+            assert (Path(tmp) / "scale_000.bin").read_bytes() == want
+            got = load_cache(tmp).scales[0].stack
+        np.testing.assert_array_equal(got.bonds, st_in.bonds)
+        assert len(got.cores) == n_sites
+        for a, b in zip(got.cores, st_in.cores):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 4),
+           n_sites=st.integers(2, 6), data=st.data(),
+           kind=st.sampled_from(["truncate", "append", "edit", "edit-header"]))
+    def test_damaged_scale_file_fails_cleanly(self, seed, n_samples, n_sites, data, kind):
+        """A truncated scale file, or one with bytes after its last record, is a
+        FormatError naming the defect; edited bytes either load or end in FormatError or
+        DataError. The manifest's checksum is rewritten to match each time, so
+        the checksum cannot catch the damage first."""
+        st_in = random_stack(seed, n_samples, n_sites)
+        blob, headers = reference_records(st_in)
+        blob = bytearray(blob)
+        if kind == "truncate":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        elif kind == "append":
+            blob += data.draw(st.binary(min_size=1, max_size=64))
+        else:
+            where = st.sampled_from(headers) if kind == "edit-header" else st.integers(
+                0, len(blob) - 1)
+            for _ in range(data.draw(st.integers(1, 6))):
+                blob[data.draw(where)] = data.draw(st.integers(0, 255))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_cache(ScaleCache([ScaleData(st_in, np.zeros(n_samples))]), tmp)
+            (Path(tmp) / "scale_000.bin").write_bytes(bytes(blob))
+            manifest_path = Path(tmp) / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["scales"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+            manifest_path.write_text(json.dumps(manifest))
+            if kind in ("truncate", "append"):
+                with pytest.raises(FormatError, match="truncated" if kind == "truncate"
+                                   else "after the last state record"):
+                    load_cache(tmp)
+            else:
+                try:
+                    load_cache(tmp)
+                except (FormatError, DataError):
+                    pass

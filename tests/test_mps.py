@@ -304,3 +304,12 @@ class TestModelFiles:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
             load_mps(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        """A model file holds exactly one state record."""
+        path = tmp_path / "w.mps"
+        rng = np.random.default_rng(15)
+        save_mps(path, random_mps(3, 2, rng))
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(FormatError, match="after the last state record"):
+            load_mps(path)
