@@ -301,30 +301,45 @@ def _encode_rows(rows: list[RawSample], scaler) -> tuple[MPSStack, np.ndarray]:
     return encode_samples(values), np.array([r.label for r in rows])
 
 
-def _fresh_manifest(directory: Path, fingerprint: str) -> dict | None:
-    """The cache manifest at ``directory`` if it is sound and built for
-    ``fingerprint``, else None."""
-    try:
-        manifest = read_cache_manifest(directory)
-    except (StateError, FormatError):
-        return None
-    return manifest if manifest.get("fingerprint") == fingerprint else None
+def load_built_caches(cfg: PipelineConfig,
+                      fingerprint: str) -> tuple[ScaleCache, ScaleCache | None]:
+    """The train and test caches built for ``fingerprint``.
+
+    The one rule for whether a cache can be used: each split's manifest, read
+    once, is sound and built for ``fingerprint``, and the test split is absent
+    only when the train manifest counts it as empty. Train and eval report the
+    StateError, FormatError or DataError it raises; preprocess and pipeline
+    rebuild on it.
+    """
+    def load(split: str) -> ScaleCache:
+        directory = cfg.cache_root / split
+        try:
+            manifest = read_cache_manifest(directory)
+        except StateError:  # absent, or an unfinished build
+            raise StateError(f"no preprocessing cache at {directory}; "
+                             "run 'wmera preprocess' first") from None
+        if manifest.get("fingerprint") != fingerprint:
+            raise StateError(f"the cache at {directory} was built from other data or "
+                             "settings; run 'wmera preprocess' again")
+        return load_cache(directory, manifest)
+
+    train = load("train")
+    # a missing count (an older build) cannot tell a dropped test split from a lost one
+    return train, load("test") if train.test_samples != 0 else None
 
 
 def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache | None]:
-    """Load the preprocessing cache, rebuilding it when the fingerprint moved."""
+    """Load the preprocessing cache, rebuilding it whenever train and eval
+    would refuse it."""
     fingerprint = compute_fingerprint(cfg)
     root = cfg.cache_root
-    train = _fresh_manifest(root / "train", fingerprint)
-    # the train manifest records the test split's size; without it the cache
-    # cannot tell a dropped test split from a lost one, so it is rebuilt
-    n_test = train.get("test_samples") if train else None
-    if ((n_test == 0 and not (root / "test").exists())
-            or (n_test and _fresh_manifest(root / "test", fingerprint))):
+    try:
+        caches = load_built_caches(cfg, fingerprint)
+    except (StateError, FormatError, DataError):
+        pass
+    else:
         log(f"cache up to date at {root}")
-        train_cache = load_cache(root / "train")
-        test_cache = load_cache(root / "test") if n_test else None
-        return train_cache, test_cache
+        return caches
 
     log(f"building cache at {root}")
     train_rows, test_rows = load_raw_datasets(cfg)
@@ -342,27 +357,6 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
         elif (root / split).exists():
             shutil.rmtree(root / split)  # a split the manifest no longer has
     return caches["train"], caches["test"]
-
-
-def _load_caches(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
-    """Load the caches that ``wmera preprocess`` built for this configuration."""
-    root = cfg.cache_root
-    fingerprint = compute_fingerprint(cfg)
-    train = _load_built_cache(root / "train", fingerprint)
-    # the test split may be absent only when the train manifest says it is empty
-    test = _load_built_cache(root / "test", fingerprint) if train.test_samples != 0 else None
-    return train, test
-
-
-def _load_built_cache(directory: Path, fingerprint: str) -> ScaleCache:
-    if not (directory / "manifest.json").is_file():  # absent, or an unfinished build
-        raise StateError(f"no preprocessing cache at {directory}; "
-                         "run 'wmera preprocess' first")
-    cache = load_cache(directory)
-    if cache.fingerprint != fingerprint:
-        raise StateError(f"the cache at {directory} was built from other data or "
-                         "settings; run 'wmera preprocess' again")
-    return cache
 
 
 def write_snapshot(cfg: PipelineConfig, extra: dict | None = None) -> None:
@@ -447,7 +441,7 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
     write_snapshot(cfg)
-    train_cache, _ = _load_caches(cfg)
+    train_cache, _ = load_built_caches(cfg, compute_fingerprint(cfg))
     scale = cfg.n_d4_layers if args.scale is None else args.scale
     if not 0 <= scale < train_cache.n_scales:
         raise ArgumentError(f"scale {scale} not in cache (0..{train_cache.n_scales - 1})")
@@ -479,7 +473,7 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     write_snapshot(cfg)
-    train_cache, test_cache = _load_caches(cfg)
+    train_cache, test_cache = load_built_caches(cfg, compute_fingerprint(cfg))
     scale = cfg.n_d4_layers if args.scale is None else args.scale
     path = _model_path(cfg, scale)
     if not path.is_file():

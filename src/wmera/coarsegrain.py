@@ -21,10 +21,15 @@ wrap-enlarged stack fits ``_CHUNK_BYTES``; a chunk holds at least one sample,
 and the coarser chunks are joined into the next scale's stack. Single states
 (:func:`apply_layer`, :func:`apply_pair_gates` and fine-graining) run the
 same kernel as a stack of one.
+
+The on-disk cache is a manifest plus one file of state records per scale;
+:mod:`wmera.mps` writes and parses the records straight from and into the
+scale's stack, and this module keeps the manifest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -43,8 +48,8 @@ from .errors import (
     StateError,
 )
 from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, inner, product_state,
-                  read_mps_records, write_mps_record)
-from .util import sha256_file, sha256_hex
+                  read_mps_records, write_mps_records)
+from .util import sha256_hex
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
 # A gate contracts its first (row) index with the incoming pair state:
@@ -361,9 +366,11 @@ _CACHE_VERSION = 1
 def save_cache(cache: ScaleCache, directory) -> None:
     """Write the scale files, then the manifest that vouches for them.
 
-    An existing manifest is removed first and the new one is moved into
-    place only after every scale file is written, so an interrupted save
-    leaves no manifest and the next load fails with StateError.
+    Each scale file is written straight from the scale's stack and hashed
+    from the bytes written. An existing manifest is removed first and the
+    new one is moved into place only after every scale file is written, so
+    an interrupted save leaves no manifest and the next load fails with
+    StateError.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -372,15 +379,14 @@ def save_cache(cache: ScaleCache, directory) -> None:
     scales_meta = []
     for level, sd in enumerate(cache.scales):
         name = f"scale_{level:03d}.bin"
-        path = directory / name
-        with open(path, "wb") as f:
-            for sample in sd.samples:
-                write_mps_record(f, sample)
+        digest = hashlib.sha256()
+        with open(directory / name, "wb") as f:
+            write_mps_records(f, sd.stack, digest)
         scales_meta.append({
             "file": name,
             "n_sites": sd.n_sites,
             "n_samples": sd.n_samples,
-            "sha256": sha256_file(path),
+            "sha256": digest.hexdigest(),
         })
     manifest = {
         "format": _CACHE_FORMAT,
@@ -466,14 +472,16 @@ def read_cache_manifest(directory) -> dict:
     return manifest
 
 
-def load_cache(directory) -> ScaleCache:
+def load_cache(directory, manifest: dict | None = None) -> ScaleCache:
     """Load and verify a cache; checksum mismatches are hard errors.
 
-    Each scale file is read once: its bytes are hashed, then parsed straight
-    into the scale's stack.
+    ``manifest`` is the one :func:`read_cache_manifest` returned for
+    ``directory``, read here when not given. Each scale file is read once:
+    its bytes are hashed, then parsed straight into the scale's stack.
     """
     directory = Path(directory)
-    manifest = read_cache_manifest(directory)
+    if manifest is None:
+        manifest = read_cache_manifest(directory)
     labels = np.asarray(manifest["labels"], dtype=np.float64)
     scales = []
     for meta in manifest["scales"]:

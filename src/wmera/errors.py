@@ -24,7 +24,7 @@ class DimensionError(WmeraError, ValueError):
 
 
 class FormatError(WmeraError):
-    """Malformed file contents (WAV, CSV, binary tensor records)."""
+    """Malformed file contents (WAV, CSV, manifests, binary state records)."""
 
     exit_code = 3
 

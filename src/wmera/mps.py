@@ -7,8 +7,9 @@ unchanged cores may be shared between instances. Gauge moves, two-site
 merges and truncated SVD splits run batched on an :class:`MPSStack`;
 :func:`canonicalize`, :func:`merge_bond` and :func:`split_bond` run them on
 a single state as a stack of one that views its cores. State records, of
-model files and cache scale files alike, are parsed in one place,
-:func:`read_mps_records`, straight into a stack.
+model files and cache scale files alike, are written in one place,
+:func:`write_mps_records`, and parsed in one place, :func:`read_mps_records`,
+both straight from and into a stack; no other module knows their layout.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, FormatError, NumericError, StateError
-from .tensor import write_tensor
 
 
 class MPS:
@@ -266,7 +266,11 @@ def svd_split(mats: np.ndarray, delta: float = 0.0, chi_max: int | None = None,
     if chi_max is not None:
         keep = np.minimum(keep, chi_max)
     keep = np.maximum(np.minimum(keep, s.shape[1] if size is None else size), 1)
-    err = np.sum(np.where(np.arange(s.shape[1]) >= keep[:, None], s, 0.0) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        err = np.sum(np.where(np.arange(s.shape[1]) >= keep[:, None], s, 0.0) ** 2, axis=1)
+    if not np.isfinite(err).all():
+        raise NumericError(f"truncation error out of floating-point range: largest "
+                           f"singular value {s[:, 0].max():.3g}")
     k = keep.max()
     return u[:, :, :k], s[:, :k], vh[:, :k], keep, err
 
@@ -350,19 +354,33 @@ def split_bond(m: MPS, j: int, block: np.ndarray, delta: float, chi_max: int | N
 
 
 # Model file layout: magic, format version (u32), one state record. A state
-# record is its core count (u32), then each core as a tensor record (see
-# :mod:`wmera.tensor`) of rank 3; cache scale files are state records back to back.
+# record is its core count (u32), then per core a header (rank 3 as u32, the
+# three extents as u64) and the core's values as f64, all little-endian;
+# cache scale files are state records back to back.
 MPS_MAGIC = b"WMERA-MPS"
 MPS_FORMAT_VERSION = 1
 _U32 = struct.Struct("<I")
-_CORE_HEAD = struct.Struct("<IQQQ")  # tensor record header of a core: rank 3, extents
+_CORE_HEAD = struct.Struct("<IQQQ")  # header of a core: rank 3, extents
 
 
-def write_mps_record(stream: BinaryIO, m: MPS) -> None:
-    """Bare record (no magic): core count then each core as a tensor record."""
-    stream.write(_U32.pack(len(m)))
-    for c in m.cores:
-        write_tensor(stream, c)
+def write_mps_records(stream: BinaryIO, stack: MPSStack, digest=None) -> None:
+    """Every sample of ``stack``, trimmed to its own bonds, as one state record.
+
+    Records are written one at a time, so no more than one record's bytes
+    are held beyond the stack; ``digest`` (a :mod:`hashlib` object), when
+    given, is fed the same bytes.
+    """
+    head = _U32.pack(len(stack.cores))
+    cores = [c.astype("<f8", copy=False) for c in stack.cores]
+    for i, b in enumerate(stack.bonds.tolist()):
+        parts = [head]
+        for j, c in enumerate(cores):
+            core = c[i, :b[j], :, :b[j + 1]]
+            parts += (_CORE_HEAD.pack(3, *core.shape), core.tobytes())
+        record = b"".join(parts)
+        stream.write(record)
+        if digest is not None:
+            digest.update(record)
 
 
 def read_mps_records(buf: bytes, count: int) -> MPSStack:
@@ -431,16 +449,11 @@ def read_mps_records(buf: bytes, count: int) -> MPSStack:
     return MPSStack(cores, np.array(bonds))
 
 
-def read_mps_record(stream: BinaryIO) -> MPS:
-    """The one state record that makes up the rest of ``stream``."""
-    return read_mps_records(stream.read(), 1).states()[0]
-
-
 def save_mps(path, m: MPS) -> None:
     with open(path, "wb") as f:
         f.write(MPS_MAGIC)
         f.write(_U32.pack(MPS_FORMAT_VERSION))
-        write_mps_record(f, m)
+        write_mps_records(f, MPSStack([c[None] for c in m.cores], np.array([m.bond_dims])))
 
 
 def load_mps(path) -> MPS:
@@ -455,6 +468,6 @@ def load_mps(path) -> MPS:
         if version != MPS_FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
         try:
-            return read_mps_record(f)
+            return read_mps_records(f.read(), 1).states()[0]
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from None

@@ -1,11 +1,13 @@
 """Command-line front end: config resolution, caching, commands, exit codes."""
 
+import collections
 import functools
 import json
 import operator
 import os
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +226,17 @@ class TestExitCodes:
         victim.write_bytes(bytes(blob))
         assert run_cli("train", "--config", cfg_path) == 3
 
+    def test_overflowing_chain_exits_4(self, tmp_path, capsys):
+        """Clips of 2048 samples overflow float64 in the first layer's
+        truncated splits: preprocess exits 4 with an error line and writes
+        no manifest, instead of caching infinite errors and huge cores."""
+        cfg_path = classification_workspace(tmp_path, n_train=4, n_test=2, length=2048)
+        cfg_path.write_text(cfg_path.read_text().replace("pad_to = 16", "pad_to = 2048")
+                            .replace("n_h2 = 1", "n_h2 = 0"))
+        assert run_cli("preprocess", "--config", cfg_path) == 4
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out" / "cache" / "train" / "manifest.json").exists()
+
     @pytest.mark.parametrize("key, built, changed", [("chi_data", "8", "2"),
                                                      ("n_d4_layers", "1", "2")])
     def test_train_on_stale_cache_exits_5(self, tmp_path, capsys, key, built, changed):
@@ -253,14 +266,14 @@ class TestExitCodes:
         cfg_path = classification_workspace(tmp_path)
         assert run_cli("preprocess", "--config", cfg_path) == 0
         assert run_cli("train", "--config", cfg_path) == 0
-        write = wmera.coarsegrain.write_mps_record
+        write = wmera.coarsegrain.write_mps_records
 
-        def failing_write(stream, m):
+        def failing_write(stream, stack, *rest):
             if stream.name.endswith(f"test{os.sep}scale_001.bin"):
                 raise OSError("disk full")
-            write(stream, m)
+            write(stream, stack, *rest)
 
-        monkeypatch.setattr(wmera.coarsegrain, "write_mps_record", failing_write)
+        monkeypatch.setattr(wmera.coarsegrain, "write_mps_records", failing_write)
         write_wav(tmp_path / "data" / "s00.wav", np.full(16, 0.9))
         with pytest.raises(OSError):
             run_cli("preprocess", "--config", cfg_path)
@@ -368,6 +381,25 @@ class TestPreprocess:
         assert run_cli("preprocess", "--config", cfg_path) == 0
         assert "cache up to date" in capsys.readouterr().out
 
+    def test_each_cache_manifest_read_once(self, tmp_path, monkeypatch):
+        """Every command that uses a built cache reads each split's manifest
+        once, deciding freshness and loading from the same read."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        reads = collections.Counter()
+        read_text = Path.read_text
+
+        def counted(path, *args, **kwargs):
+            if path.name == "manifest.json" and path.parent.parent.name == "cache":
+                reads[path.parent.name] += 1
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        for command in ("preprocess", "train", "eval", "pipeline"):
+            reads.clear()
+            assert run_cli(command, "--config", cfg_path) == 0
+            assert reads == {"train": 1, "test": 1}, command
+
     def test_changed_data_forces_rebuild(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
         run_cli("preprocess", "--config", cfg_path)
@@ -381,14 +413,14 @@ class TestPreprocess:
         the half-written cache is never loaded and the next run rebuilds it."""
         cfg_path = classification_workspace(tmp_path)
         assert run_cli("preprocess", "--config", cfg_path) == 0
-        write = wmera.coarsegrain.write_mps_record
+        write = wmera.coarsegrain.write_mps_records
 
-        def failing_write(stream, m):
+        def failing_write(stream, stack, *rest):
             if stream.name.endswith("scale_001.bin"):
                 raise OSError("disk full")
-            write(stream, m)
+            write(stream, stack, *rest)
 
-        monkeypatch.setattr(wmera.coarsegrain, "write_mps_record", failing_write)
+        monkeypatch.setattr(wmera.coarsegrain, "write_mps_records", failing_write)
         write_wav(tmp_path / "data" / "s00.wav", np.full(16, 0.9))
         with pytest.raises(OSError):
             run_cli("preprocess", "--config", cfg_path)
@@ -396,10 +428,28 @@ class TestPreprocess:
             load_cache(tmp_path / "out" / "cache" / "train")
         assert run_cli("train", "--config", cfg_path) == 5
 
-        monkeypatch.setattr(wmera.coarsegrain, "write_mps_record", write)
+        monkeypatch.setattr(wmera.coarsegrain, "write_mps_records", write)
         capsys.readouterr()
         assert run_cli("preprocess", "--config", cfg_path) == 0
         assert "building cache" in capsys.readouterr().out
+        assert run_cli("train", "--config", cfg_path) == 0
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_tampered_cache_is_rebuilt(self, tmp_path, capsys, split):
+        """train refuses a scale file whose checksum no longer matches
+        (exit 3); preprocess rebuilds it, as it rebuilds every cache that
+        train and eval refuse."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        victim = tmp_path / "out" / "cache" / split / "scale_001.bin"
+        original = victim.read_bytes()
+        victim.write_bytes(original[:-1] + bytes([original[-1] ^ 0xFF]))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert "building cache" in capsys.readouterr().out
+        assert victim.read_bytes() == original
         assert run_cli("train", "--config", cfg_path) == 0
 
     def test_dropped_test_split_is_removed(self, tmp_path, capsys):

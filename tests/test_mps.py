@@ -1,14 +1,19 @@
 """Chain construction, gauges, two-site merge/split, and model files."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthdata import random_mps
+from test_coarsegrain import reference_records
 from wmera.errors import DimensionError, FormatError, StateError
 from wmera.mps import (
     MPS,
+    MPS_FORMAT_VERSION,
+    MPS_MAGIC,
     MPSStack,
     _canonicalize,
     _merge,
@@ -312,4 +317,34 @@ class TestModelFiles:
         save_mps(path, random_mps(3, 2, rng))
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(FormatError, match="after the last state record"):
+            load_mps(path)
+
+    def test_bytes_follow_the_record_layout(self, tmp_path):
+        """A model file is the magic, the version word and the state's one
+        record, byte for byte as the reference writer lays out a stack of one."""
+        m = random_mps(4, 3, np.random.default_rng(16))
+        path = tmp_path / "w.mps"
+        save_mps(path, m)
+        record, _ = reference_records(MPSStack.from_states([m]))
+        assert path.read_bytes() == (MPS_MAGIC + struct.pack("<I", MPS_FORMAT_VERSION)
+                                     + record)
+
+    @pytest.mark.parametrize("field, value, match", [
+        (0, 4, "rank 4"),
+        (2, 0, r"extents \(1, 0, 2\)"),
+        (3, 1 << 40, "claims"),
+    ], ids=["rank-4", "zero-extent", "extent-past-the-end"])
+    def test_bad_core_header_rejected(self, tmp_path, field, value, match):
+        """The first core's header (rank, then three extents) with one field
+        replaced is a FormatError."""
+        path = tmp_path / "w.mps"
+        save_mps(path, random_mps(3, 2, np.random.default_rng(17)))
+        data = bytearray(path.read_bytes())
+        head = len(MPS_MAGIC) + 4 + 4  # magic, version, core count
+        if field == 0:
+            struct.pack_into("<I", data, head, value)
+        else:
+            struct.pack_into("<Q", data, head + 4 + 8 * (field - 1), value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=match):
             load_mps(path)

@@ -48,9 +48,9 @@ def test_traced_benchmark_records_the_data_path(tmp_path, capsys):
     """A patched name that still resolves but is no longer called through the
     patched namespace records nothing. Run the traced layers around an
     in-process preprocess (cache built) and pipeline (cache loaded), counting
-    the calls that reach each patched data-path target: each must be called,
-    its span recorded, and the bond statistics must see the coarse-grained
-    samples."""
+    the calls that reach each patched target: every target this run reaches
+    must be called, the data-path spans recorded, and the bond statistics
+    must see the coarse-grained samples."""
     spans = load_spans()
     cfg_path = regression_workspace(tmp_path)
     tracer = spans.Tracer()
@@ -72,9 +72,15 @@ def test_traced_benchmark_records_the_data_path(tmp_path, capsys):
             assert run_cli(command, "--config", cfg_path) == 0
     finally:
         tracer.restore()
-    for target in ("cli._encode_rows", "cli.coarse_grain_dataset", "cli.save_cache",
-                   "cli.load_cache"):
-        assert calls[target] > 0, target
+    # A regression workspace reads one CSV series and pads nothing; train
+    # keeps one environment across its sweeps, which it fills from the right.
+    unreached = {"cli.read_wav", "cli.pad_to_pow2", "trainer.Environment.refresh_left"}
+    for module, attr, _, _ in spans.SPANS:
+        target = f"{module}.{attr}"
+        if target not in unreached:
+            assert calls[target] > 0, target
+    for name in ("trainer.bond_updates", "trainer.splits"):
+        assert tracer.counts[name] > 0, name
     recorded = {name for _, _, name, _, _ in tracer.spans}
     for name in ("ingest.encode", "coarsegrain.dataset", "cache.save", "cache.load"):
         assert name in recorded, name

@@ -1,13 +1,10 @@
-"""The truncated SVD rank rule and the binary tensor format."""
-
-import io
+"""The truncated SVD rank rule, ``mps.svd_split``, on stacks of matrices."""
 
 import numpy as np
 import pytest
 
-from wmera.errors import ArgumentError, FormatError
+from wmera.errors import ArgumentError, NumericError
 from wmera.mps import svd_split
-from wmera.tensor import read_tensor, write_tensor
 
 
 def split_one(mat, delta=0.0, chi_max=None):
@@ -76,47 +73,15 @@ class TestSvdSplit:
         assert list(keep) == [4, 2] and u.shape == (2, 4, 4)
         assert list(err) == [0.0, 0.0]
 
+    def test_overflowing_error_raises(self):
+        """A discarded singular value whose square overflows float64 is a
+        NumericError, not an infinite truncation error and a warning."""
+        with pytest.raises(NumericError, match="out of floating-point range"):
+            svd_split(np.diag([1e200, 1e180])[None], chi_max=1)
+
     def test_rejects_bad_delta_and_chi_max(self):
         mats = np.eye(2)[None]
         with pytest.raises(ArgumentError):
             svd_split(mats, delta=-1e-12)
         with pytest.raises(ArgumentError):
             svd_split(mats, chi_max=0)
-
-
-class TestTensorIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        for shape in [(1,), (3, 4), (2, 3, 4, 5)]:
-            t = rng.standard_normal(shape)
-            path = tmp_path / "t.bin"
-            with open(path, "wb") as f:
-                write_tensor(f, t)
-            with open(path, "rb") as f:
-                np.testing.assert_array_equal(read_tensor(f), t)
-
-    def test_stream_holds_multiple_records(self):
-        buf = io.BytesIO()
-        a = np.arange(6.0).reshape(2, 3)
-        b = np.array([7.0])
-        write_tensor(buf, a)
-        write_tensor(buf, b)
-        buf.seek(0)
-        np.testing.assert_array_equal(read_tensor(buf), a)
-        np.testing.assert_array_equal(read_tensor(buf), b)
-
-    def test_truncated_payload_raises(self):
-        buf = io.BytesIO()
-        write_tensor(buf, np.ones((4, 4)))
-        data = buf.getvalue()
-        with pytest.raises(FormatError):
-            read_tensor(io.BytesIO(data[:-8]))
-
-    def test_truncated_header_raises(self):
-        with pytest.raises(FormatError):
-            read_tensor(io.BytesIO(b"\x02"))
-
-    def test_absurd_rank_rejected(self):
-        bad = io.BytesIO((10 ** 6).to_bytes(4, "little"))
-        with pytest.raises(FormatError):
-            read_tensor(bad)
