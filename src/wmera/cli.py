@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .coarsegrain import (
+    LAYER_REVISION,
     ScaleCache,
     coarse_grain_dataset,
     load_cache,
@@ -282,6 +283,7 @@ def load_raw_datasets(cfg: PipelineConfig) -> tuple[list[RawSample], list[RawSam
 def compute_fingerprint(cfg: PipelineConfig) -> str:
     payload = {
         "version": __version__,
+        "layer_revision": LAYER_REVISION,
         "manifest_sha256": sha256_file(cfg.manifest_path),
         "files": [sha256_file(p) for p in _referenced_files(cfg)],
         "pad_to": cfg.pad_to,

@@ -10,17 +10,20 @@ gauge move, merge and split is a step of the batched MPS algebra in
 A layer applies its disentanglers pair by pair as two-site gates, each
 followed by a truncated SVD re-split. The pair straddling the chain ends
 (periodic wrap) cannot be merged across the open boundary, so it is applied
-as a sum of per-end operator pairs, which multiplies every bond by the gate's
-operator rank (4 for Daub4), and one compression sweep restores minimal
-bonds. Isometries then contract the even pairs into coarse sites, halving the
-chain.
+as a sum of per-end operator pairs. The end operators leave the sum's index
+on the two boundary bonds; the isometries then contract the even pairs into
+coarse sites, halving the chain, and only then does the index move into
+every interior bond, multiplying it by the gate's operator rank (4 for
+Daub4), for one compression sweep over the coarse chain. Fine-graining runs
+the same wrap gate on the fine chain, without isometries.
 
 A dataset is one stack per scale, from encoding through the cache to
 training. It goes through each layer in chunks of consecutive samples whose
-wrap-enlarged stack fits ``_CHUNK_BYTES``; a chunk holds at least one sample,
-and the coarser chunks are joined into the next scale's stack. Single states
-(:func:`apply_layer`, :func:`apply_pair_gates` and fine-graining) run the
-same kernel as a stack of one.
+wrap-enlarged stack, bounded from above by that of the fine chain, fits
+``_CHUNK_BYTES``; a chunk holds at least one sample, and the coarser chunks
+are joined into the next scale's stack. Single states (:func:`apply_layer`,
+:func:`apply_pair_gates` and fine-graining) run the same kernel as a stack
+of one.
 
 The on-disk cache is a manifest plus one file of state records per scale;
 :mod:`wmera.mps` writes and parses the records straight from and into the
@@ -59,6 +62,10 @@ from .wavelet import WaveletMeraLayer, build_daub4_layer
 # its tests pin the convention.
 
 _IDENTITY4 = np.eye(4)
+
+# Part of the cache fingerprint: raise it whenever what a layer computes
+# changes, so that caches an earlier layer kernel built are rebuilt.
+LAYER_REVISION = 2
 
 # Bound on the bytes of one chunk's wrap-enlarged stack. The wrap gate holds
 # the whole enlarged chain until its compression sweep ends, so this caps the
@@ -115,38 +122,47 @@ def _compress(st: MPSStack, delta: float, chi_max: int | None) -> np.ndarray:
 
 
 def _apply_gate_straddling(st: MPSStack, gate: np.ndarray, delta: float,
-                           chi_max: int | None) -> np.ndarray:
-    """Gate on the (last, first) pair: stack end operators, then recompress.
+                           chi_max: int | None, layer: WaveletMeraLayer | None = None
+                           ) -> tuple[MPSStack, np.ndarray]:
+    """Gate on the (last, first) pair, then one compression sweep; with a
+    ``layer``, its isometries run in between.
 
-    A joint SVD re-split of the two end sites would thread a bond around the
-    whole loop, so instead every state becomes a sum over the gate's per-end
-    operator pairs (a block-diagonal bond enlargement) and one compression
-    sweep restores minimal bonds. The enlarged bond index is (old bond,
-    operator pair), which keeps each sample's block leading.
+    A joint re-split of the two end sites would thread a bond around the
+    loop, so every state becomes a sum over the gate's per-end operator
+    pairs. The end operators leave the pair index on the two boundary bonds,
+    where the isometries pass it through; closing the chain moves it into
+    every interior bond (a block-diagonal enlargement, indexed (old bond,
+    pair) so each sample's block leads), and the sweep, over the N/2 coarse
+    sites when there is a layer, restores minimal bonds. Returns the stack
+    and each sample's truncation error.
     """
     left_ops, right_ops = _end_operator_pairs(gate)
     k = len(left_ops)
+    st.cores[0] = np.einsum("btu,nltr->nbur", right_ops, st.cores[0])
+    st.cores[-1] = np.einsum("bsa,nlsr->nlab", left_ops, st.cores[-1])
+    st.bonds[:, [0, -1]] = k
+    if layer is not None:
+        st = apply_isometries(st, layer)
     cores = st.cores
-    n = len(st.bonds)
-    cores[0] = np.einsum("btu,nltr->nlurb", right_ops, cores[0]).reshape(n, 1, 2, -1)
+    n, eye = len(st.bonds), np.eye(k)[:, None, None, :]
+    cores[0] = cores[0].transpose(0, 2, 3, 1).reshape(n, 1, 2, -1)
     for j in range(1, len(cores) - 1):
-        core = cores[j]
-        grown = np.zeros((n, core.shape[1], k, 2, core.shape[3], k))
-        for b in range(k):
-            grown[:, :, b, :, :, b] = core
-        cores[j] = grown.reshape(n, core.shape[1] * k, 2, core.shape[3] * k)
-    cores[-1] = np.einsum("bsa,nlsr->nlbar", left_ops, cores[-1]).reshape(n, -1, 2, 1)
+        _, bl, _, br = cores[j].shape
+        cores[j] = (cores[j][:, :, None, :, :, None] * eye).reshape(n, bl * k, 2, br * k)
+    cores[-1] = cores[-1].transpose(0, 1, 3, 2).reshape(n, -1, 2, 1)
     st.bonds[:, 1:-1] *= k
+    st.bonds[:, [0, -1]] = 1
     st.center = None
-    return _compress(st, delta, chi_max)
+    return st, _compress(st, delta, chi_max)
 
 
-def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float,
-                      chi_max: int | None) -> np.ndarray:
-    """Apply ``gate`` to every pair (2i+1, 2i+2 mod N) of every sample.
+def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float, chi_max: int | None,
+                      layer: WaveletMeraLayer | None = None) -> tuple[MPSStack, np.ndarray]:
+    """Apply ``gate`` to every pair (2i+1, 2i+2 mod N) of every sample; with
+    a ``layer``, contract its even pairs into coarse sites as well.
 
-    Returns each sample's summed truncation error. The identity gate leaves
-    the stack untouched.
+    Returns the resulting stack and each sample's summed truncation error.
+    The identity gate is skipped.
     """
     n_sites = len(st.cores)
     if n_sites < 4 or n_sites % 2:
@@ -154,10 +170,11 @@ def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float,
     gate = _gate_matrix(gate)
     err = np.zeros(len(st.bonds))
     if np.array_equal(gate, _IDENTITY4):
-        return err
+        return (st if layer is None else apply_isometries(st, layer)), err
     for i in range(n_sites // 2 - 1):
         err += _apply_gate_adjacent(st, gate, 2 * i + 1, delta, chi_max)
-    return err + _apply_gate_straddling(st, gate, delta, chi_max)
+    st, wrap_err = _apply_gate_straddling(st, gate, delta, chi_max, layer)
+    return st, err + wrap_err
 
 
 def apply_pair_gates(m: MPS, gate: np.ndarray, delta: float,
@@ -169,7 +186,7 @@ def apply_pair_gates(m: MPS, gate: np.ndarray, delta: float,
     """
     st = MPSStack.from_states([m])
     _check_sites(st, len(m))
-    err = _apply_pair_gates(st, gate, delta, chi_max)
+    st, err = _apply_pair_gates(st, gate, delta, chi_max)
     return st.states()[0], float(err[0])
 
 
@@ -191,7 +208,9 @@ def _chunks(bonds: np.ndarray, layer: WaveletMeraLayer,
     Adjacent gates can at most double an even cut relative to its odd
     neighbours (capped at ``chi_max``) and leave odd cuts as they are; the
     wrap gate then multiplies every interior bond by the gate's operator
-    rank.
+    rank. Bytes are counted on the fine chain: with each even cut at most
+    twice either odd neighbour, that bounds the coarse chain the wrap gate
+    enlarges.
     """
     rank = len(_end_operator_pairs(_gate_matrix(layer.disentangler))[0])
     grown = bonds.copy()
@@ -216,12 +235,9 @@ def _layer_states(st: MPSStack, layer: WaveletMeraLayer, delta: float,
     """Every sample of ``st`` one layer coarser, chunk by chunk; ``st`` is
     left as it was."""
     _check_sites(st, layer.n_sites_in)
-    out = []
-    for lo, hi in _chunks(st.bonds, layer, chi_max):
-        chunk = st.rows(lo, hi)
-        _apply_pair_gates(chunk, layer.disentangler, delta, chi_max)
-        out.append(apply_isometries(chunk, layer))
-    return MPSStack.concatenate(out)
+    return MPSStack.concatenate([
+        _apply_pair_gates(st.rows(lo, hi), layer.disentangler, delta, chi_max, layer)[0]
+        for lo, hi in _chunks(st.bonds, layer, chi_max)])
 
 
 def apply_layer(m: MPS, layer: WaveletMeraLayer, delta_data: float = 1e-12,

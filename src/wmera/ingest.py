@@ -10,6 +10,7 @@ unchanged and acts as the model's bias. Features are therefore expected in
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +18,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, FormatError
+from .errors import ArgumentError, DataError, FormatError, NumericError
 from .mps import MPS, MPSStack
 from .wavelet import haar_step
+
+_LOG_MAX = math.log(np.finfo(np.float64).max)  # log of the largest finite float64
 
 
 @dataclass
@@ -195,12 +198,19 @@ def apply_scaler(scaler: FeatureScaler, values) -> np.ndarray:
 
 def encode_samples(values) -> MPSStack:
     """Product-state feature map of every row of a (samples, sites) array,
-    as one stack: site vector (1, x) at every site, every bond of extent 1."""
+    as one stack: site vector (1, x) at every site, every bond of extent 1.
+    A squared norm, the product of 1 + x**2 over the sites, past the float64
+    range is a NumericError."""
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
         raise ArgumentError("encoding expects a nonempty (samples, sites) array")
     if not np.all(np.isfinite(x)):
         raise DataError("encoding: non-finite feature value")
+    with np.errstate(over="ignore"):
+        log_norm2 = np.log1p(x * x).sum(axis=1)
+    if log_norm2.max() >= _LOG_MAX:
+        raise NumericError(f"encoding: sample {int(log_norm2.argmax())} has squared norm "
+                           f"exp({log_norm2.max():.4g}), past the float64 range")
     n, n_sites = x.shape
     cores = np.empty((n_sites, n, 1, 2, 1))
     cores[:, :, 0, 0, 0] = 1.0

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wmera.cli
 import wmera.coarsegrain
 from wmera.cli import CACHE_ENV_VAR, build_parser, main, parse_kv_file, resolve_config
 from wmera.coarsegrain import load_cache
@@ -259,6 +260,21 @@ class TestExitCodes:
         assert run_cli("eval", "--config", cfg_path) == 5
         err = capsys.readouterr().err
         assert err.startswith("error:") and "wmera preprocess" in err
+
+    def test_cache_of_an_earlier_layer_kernel_exits_5(self, tmp_path, capsys, monkeypatch):
+        """The layer kernel's revision is part of the cache fingerprint: a cache
+        that an earlier kernel built is refused by train and rebuilt by preprocess."""
+        cfg_path = classification_workspace(tmp_path)
+        monkeypatch.setattr(wmera.cli, "LAYER_REVISION", wmera.cli.LAYER_REVISION - 1)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "wmera preprocess" in err
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert "building cache" in capsys.readouterr().out
+        assert run_cli("train", "--config", cfg_path) == 0
 
     def test_unfinished_test_split_exits_5(self, tmp_path, capsys, monkeypatch):
         """A test-split save that fails leaves scale files without a manifest;

@@ -26,7 +26,8 @@ from wmera.coarsegrain import (
 )
 from wmera.errors import ArgumentError, DataError, DimensionError, FormatError, StateError
 from wmera.mps import MPS, MPSStack, inner, product_state
-from wmera.wavelet import build_daub4_layer, build_haar_layer, daub4_from_angles, DAUB4_ANGLES
+from wmera.wavelet import (build_daub4_layer, build_haar_layer, build_layer, daub4_from_angles,
+                           DAUB4_ANGLES)
 
 
 def dense_layer_oracle(vec: np.ndarray, layer, n: int) -> np.ndarray:
@@ -109,12 +110,12 @@ def reference_layer(m: MPS, layer, delta: float, chi) -> MPS:
               for c in cores[1:-1]]
     grown.append(np.concatenate([np.einsum("sa,lsr->lar", p, cores[-1]) for p in left_ops],
                                 axis=0))
-    cores = ref_move_center(grown, None, 0)
-    for j in range(n - 1):
-        cores = ref_split(cores, j, ref_merge(cores, j), delta, chi)
     v3 = layer.isometry.reshape(2, 2, 2)
-    return MPS([np.einsum("lstr,cst->lcr", ref_merge(cores, 2 * i), v3)
-                for i in range(n // 2)])
+    cores = [np.einsum("lstr,cst->lcr", ref_merge(grown, 2 * i), v3) for i in range(n // 2)]
+    cores = ref_move_center(cores, None, 0)
+    for j in range(n // 2 - 1):
+        cores = ref_split(cores, j, ref_merge(cores, j), delta, chi)
+    return MPS(cores)
 
 
 def relative_sq_distance(a: MPS, b: MPS) -> float:
@@ -157,6 +158,21 @@ class TestDenseEquivalence:
                 got = out.to_dense().ravel()
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([4, 8, 16]),
+           theta_u=st.floats(-np.pi, np.pi), theta_v=st.floats(-np.pi, np.pi),
+           product=st.booleans())
+    def test_layer_at_random_angles_matches_dense_oracle(self, seed, n, theta_u, theta_v,
+                                                         product):
+        """Any (theta_u, theta_v), product or bond-2 input: the untruncated
+        layer is the dense layer to 1e-12 relative."""
+        rng = np.random.default_rng(seed)
+        layer = build_layer(theta_u, theta_v, n)
+        m = random_product_state(n, rng) if product else random_mps(n, 2, rng)
+        want = dense_layer_oracle(m.to_dense().ravel(), layer, n)
+        got = apply_layer(m, layer, 0.0, None).to_dense().ravel()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_gates_alone_match_dense(self):
         rng = np.random.default_rng(22)

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthdata import random_mps, random_product_state, two_class_signals
 from test_cli import CLASS_CONFIG, classification_workspace, run_cli
@@ -31,6 +33,23 @@ class TestConjugation:
             cx = apply_layer(x, layer, delta_data=0.0, chi_data=None)
             worst = max(worst, abs(inner(fw, x) - inner(w, cx)))
         return worst
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([4, 8, 16]),
+           theta_u=st.floats(-np.pi, np.pi), theta_v=st.floats(-np.pi, np.pi),
+           product=st.booleans())
+    def test_random_angles_are_conjugated_exactly(self, seed, n, theta_u, theta_v, product):
+        """At any angles, the fine-grained weights (wrap gate on the fine chain)
+        pair with x as the weights pair with the layer's image of x (wrap gate
+        on the coarse chain), to 1e-10 of the Cauchy-Schwarz bound."""
+        rng = np.random.default_rng(seed)
+        layer = build_layer(theta_u, theta_v, n)
+        w = random_mps(n // 2, 2, rng)
+        x = random_product_state(n, rng) if product else random_mps(n, 2, rng)
+        fw, _ = fine_grain_weights(w, layer)
+        cx = apply_layer(x, layer, 0.0, None)
+        bound = np.sqrt(inner(w, w) * inner(cx, cx))
+        assert abs(inner(fw, x) - inner(w, cx)) <= 1e-10 * bound
 
     def test_daub4_layer_is_conjugated_exactly(self):
         assert self.pairing(build_daub4_layer(12), 7) < 1e-10

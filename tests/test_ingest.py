@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from wmera.errors import ArgumentError, DataError, FormatError
+from wmera.errors import ArgumentError, DataError, FormatError, NumericError
 from wmera.ingest import (
     FeatureScaler,
     RawSample,
@@ -251,3 +251,13 @@ class TestEncodeSample:
             encode_sample(np.zeros((2, 2)))
         with pytest.raises(DataError):
             encode_sample([0.1, np.nan])
+
+    def test_squared_norm_must_be_a_finite_float(self):
+        """The squared norm of (1, 1) on every site is 2**N: 1000 sites fit in
+        float64, 1100 do not (2**1024 itself sits on the limit to the bit)."""
+        m = encode_sample(np.ones(1000))
+        assert len(m) == 1000
+        with pytest.raises(NumericError):
+            encode_sample(np.ones(1100))
+        with pytest.raises(NumericError):
+            encode_sample(np.full(3, 1e200))
