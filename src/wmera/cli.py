@@ -32,7 +32,6 @@ from .errors import (ArgumentError, DataError, DimensionError, FormatError, Stat
                      WmeraError)
 from .finegrain import fine_grain_weights
 from .ingest import (
-    RawSample,
     apply_scaler,
     encode_samples,
     fit_scaler,
@@ -118,8 +117,12 @@ def parse_kv_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ArgumentError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -193,7 +196,7 @@ def _load_manifest(path: Path) -> dict:
         raise ArgumentError(f"manifest not found: {path}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
@@ -249,35 +252,36 @@ def _referenced_files(cfg: PipelineConfig) -> list[Path]:
     return [base / cfg.manifest["series"]]
 
 
-def load_raw_datasets(cfg: PipelineConfig) -> tuple[list[RawSample], list[RawSample]]:
-    """Ingest, pad, and Haar-reduce the manifest's data into train/test lists."""
-    train_rows: list[RawSample] = []
-    test_rows: list[RawSample] = []
+def load_raw_datasets(cfg: PipelineConfig) -> tuple[tuple[np.ndarray, np.ndarray],
+                                                     tuple[np.ndarray, np.ndarray]]:
+    """Ingest, pad, and Haar-reduce the manifest's data into one
+    (samples, sites) array and one label vector per split, train then test."""
     base = cfg.manifest_path.parent
     if cfg.task == "classification":
-        for entry in cfg.manifest["samples"]:
-            path = base / entry["path"]
-            values = _read_series_file(path)
-            if cfg.pad_to is not None:
-                values = pad_to_pow2(values, cfg.pad_to)
-            values = haar_preprocess(values, cfg.n_h2)
-            row = RawSample(values, float(entry["label"]), entry["path"])
-            (test_rows if entry.get("split", "train") == "test" else train_rows).append(row)
+        entries = cfg.manifest["samples"]
+        clips = [_read_series_file(base / entry["path"]) for entry in entries]
+        if cfg.pad_to is not None:
+            clips = [pad_to_pow2(clip, cfg.pad_to) for clip in clips]
+        if len({clip.size for clip in clips}) > 1:
+            raise DimensionError("clips must share a length to be encoded together; "
+                                 "set pad_to")
+        rows = np.stack(clips)
+        labels = np.array([float(entry["label"]) for entry in entries])
+        train = np.array([entry.get("split", "train") == "train" for entry in entries])
     else:
         series = read_series_csv(base / cfg.manifest["series"],
                                  column=cfg.manifest.get("column"))
         p = cfg.manifest["p"]
         lo, hi = cfg.manifest["fit_range"]
-        windows = make_windows(series, p, source_id=Path(cfg.manifest["series"]).stem)
-        for start, row in enumerate(windows):
-            values = haar_preprocess(row.values, cfg.n_h2)
-            row = RawSample(values, row.label, row.source_id)
-            # training windows sit entirely inside the fit range; every other
-            # start index is held out
-            (train_rows if lo <= start and start + p <= hi else test_rows).append(row)
-    if not train_rows:
+        rows, labels = make_windows(series, p)
+        # training windows sit entirely inside the fit range; every other
+        # start index is held out
+        starts = np.arange(len(labels))
+        train = (lo <= starts) & (starts + p <= hi)
+    if not train.any():
         raise DataError("no training samples after applying the manifest split")
-    return train_rows, test_rows
+    values = haar_preprocess(rows, cfg.n_h2)
+    return (values[train], labels[train]), (values[~train], labels[~train])
 
 
 def compute_fingerprint(cfg: PipelineConfig) -> str:
@@ -295,12 +299,9 @@ def compute_fingerprint(cfg: PipelineConfig) -> str:
     return sha256_hex(canonical_json(payload).encode())
 
 
-def _encode_rows(rows: list[RawSample], scaler) -> tuple[MPSStack, np.ndarray]:
-    """Scale and encode every row at once into one stack, with the labels."""
-    if len({r.values.size for r in rows}) > 1:
-        raise DimensionError("samples at one scale must share a length")
-    values = apply_scaler(scaler, np.stack([r.values for r in rows]))
-    return encode_samples(values), np.array([r.label for r in rows])
+def _encode_rows(values: np.ndarray, scaler) -> MPSStack:
+    """Scale every (samples, sites) row at once and encode them into one stack."""
+    return encode_samples(apply_scaler(scaler, values))
 
 
 def load_built_caches(cfg: PipelineConfig,
@@ -344,17 +345,16 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
         return caches
 
     log(f"building cache at {root}")
-    train_rows, test_rows = load_raw_datasets(cfg)
-    scaler = fit_scaler(train_rows)
+    train, test = load_raw_datasets(cfg)
+    scaler = fit_scaler(train[0])
     caches = {"train": None, "test": None}
-    for split, rows in (("train", train_rows), ("test", test_rows)):
-        if rows:
-            stack, labels = _encode_rows(rows, scaler)
-            caches[split] = coarse_grain_dataset(stack, labels, cfg.n_d4_layers,
-                                                 cfg.delta_data, cfg.chi_data,
-                                                 fingerprint=fingerprint)
+    for split, (values, labels) in (("train", train), ("test", test)):
+        if len(labels):
+            caches[split] = coarse_grain_dataset(_encode_rows(values, scaler), labels,
+                                                 cfg.n_d4_layers, cfg.delta_data,
+                                                 cfg.chi_data, fingerprint=fingerprint)
             if split == "train":
-                caches[split].test_samples = len(test_rows)
+                caches[split].test_samples = len(test[1])
             save_cache(caches[split], root / split)
         elif (root / split).exists():
             shutil.rmtree(root / split)  # a split the manifest no longer has
@@ -407,13 +407,12 @@ def _replace_scale_metrics(path: Path, scale: int, stats_list) -> None:
     other scale's; the file is replaced whole, so a crash leaves the old one."""
     kept = ""
     if path.is_file():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            try:
-                old = json.loads(line)["scale"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}: unreadable metrics record ({exc})") from exc
-            if old != scale:
-                kept += line + "\n"
+        try:  # ValueError: bad JSON, or bytes that are not UTF-8
+            for line in path.read_text(encoding="utf-8").splitlines():
+                if json.loads(line)["scale"] != scale:
+                    kept += line + "\n"
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: unreadable metrics record ({exc})") from exc
     partial = path.with_name(path.name + ".partial")
     partial.write_text(kept + _metric_lines(scale, stats_list), encoding="utf-8")
     os.replace(partial, path)

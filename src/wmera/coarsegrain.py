@@ -482,7 +482,7 @@ def read_cache_manifest(directory) -> dict:
         raise StateError(f"no cache manifest at {path}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     _check_manifest(path, manifest)
     return manifest

@@ -1,6 +1,11 @@
 """Raw data ingestion: WAV and CSV readers, zero padding, sliding windows,
 Haar pre-passes, feature scaling, and the product-state feature map.
 
+A split travels from the readers to the encoder as one (samples, sites)
+array and one label vector; windowing, Haar passes and scaling act on the
+whole array. The readers reject what no later step could use (non-finite
+CSV cells, clips without frames, undecodable text), naming line or byte.
+
 The feature map sends each scalar x to the site vector (1, x); the leading
 component is a constant channel that survives every coarse-graining layer
 unchanged and acts as the model's bias. Features are therefore expected in
@@ -10,11 +15,11 @@ unchanged and acts as the model's bias. Features are therefore expected in
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,22 +28,6 @@ from .mps import MPS, MPSStack
 from .wavelet import haar_step
 
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # log of the largest finite float64
-
-
-@dataclass
-class RawSample:
-    """One labelled series before encoding."""
-
-    values: np.ndarray
-    label: float
-    source_id: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise DataError(f"sample {self.source_id!r} must be a nonempty 1-d series")
-        if not np.all(np.isfinite(self.values)) or not np.isfinite(self.label):
-            raise DataError(f"sample {self.source_id!r} contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -95,6 +84,8 @@ def read_wav(path) -> np.ndarray:
         raise FormatError(f"{path}: zero channels")
     body, size = payload
     count = size // (2 * channels) * channels
+    if count == 0:
+        raise DataError(f"{path}: data chunk at byte {body - 8} holds no audio frames")
     frames = np.frombuffer(data, dtype="<i2", count=count, offset=body).astype(np.float64)
     if channels > 1:
         frames = frames.reshape(-1, channels).mean(axis=1)
@@ -105,12 +96,17 @@ def read_series_csv(path, column: str | None = None, delimiter: str = ",") -> np
     """Read one numeric series from a CSV file.
 
     With ``column=None`` each non-blank line must hold exactly one value;
-    otherwise the named column of a headered file is used. Non-numeric cells
-    are hard errors naming the line.
+    otherwise the named column of a headered file is used. Non-numeric and
+    non-finite cells are hard errors naming the line; bytes that are not
+    UTF-8 are a format error naming their offset.
     """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    rows = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     values = []
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = csv.reader(f, delimiter=delimiter)
+    try:
         index = 0
         if column is not None:
             header = next(rows, None)
@@ -130,10 +126,15 @@ def read_series_csv(path, column: str | None = None, delimiter: str = ",") -> np
                 raise FormatError(f"{path}: line {rows.line_num} has no field {index}")
             cell = row[index].strip()
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DataError(f"{path}: non-numeric value {cell!r} "
                                 f"on line {rows.line_num}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: non-finite value {cell!r} on line {rows.line_num}")
+            values.append(value)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {rows.line_num}: {exc}") from None
     if not values:
         raise DataError(f"{path}: no values found")
     return np.array(values)
@@ -154,40 +155,36 @@ def pad_to_pow2(v, target: int) -> np.ndarray:
 
 
 def haar_preprocess(v, n_h2: int) -> np.ndarray:
-    """Apply ``n_h2`` Haar passes; length must be divisible by 2**n_h2."""
+    """Apply ``n_h2`` Haar passes along the last axis, whose length must be
+    divisible by 2**n_h2."""
     x = np.asarray(v, dtype=np.float64)
     if n_h2 < 0:
         raise ArgumentError("n_h2 must be >= 0")
-    if n_h2 and x.size % (1 << n_h2):
-        raise ArgumentError(f"length {x.size} not divisible by 2**{n_h2}")
+    if n_h2 and x.shape[-1] % (1 << n_h2):
+        raise ArgumentError(f"length {x.shape[-1]} not divisible by 2**{n_h2}")
     for _ in range(n_h2):
         x = haar_step(x)
     return x
 
 
-def make_windows(series, p: int, source_id: str = "series") -> list[RawSample]:
+def make_windows(series, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Slide a length-p window over the series; the next value is the label.
 
-    Yields one sample per start index, length(series) - p in total.
+    Returns the (length(series) - p, p) windows, row s starting at index s,
+    as a read-only view of the series, and the labels ``series[p:]``.
     """
     x = np.asarray(series, dtype=np.float64)
     if p < 4 or p & (p - 1):
         raise ArgumentError(f"window size must be a power of two >= 4, got {p}")
     if x.ndim != 1 or x.size <= p:
         raise ArgumentError(f"series of length {x.size} too short for windows of {p}")
-    return [RawSample(x[s:s + p].copy(), float(x[s + p]), f"{source_id}[{s}]")
-            for s in range(x.size - p)]
+    return np.lib.stride_tricks.sliding_window_view(x[:-1], p), x[p:]
 
 
-def fit_scaler(samples: Iterable[RawSample | np.ndarray]) -> FeatureScaler:
-    """Global min/max over all training values; a flat range is an error."""
-    lo, hi = np.inf, -np.inf
-    for s in samples:
-        values = s.values if isinstance(s, RawSample) else np.asarray(s, dtype=np.float64)
-        if values.size:
-            lo = min(lo, float(values.min()))
-            hi = max(hi, float(values.max()))
-    return FeatureScaler(lo, hi)
+def fit_scaler(values) -> FeatureScaler:
+    """Global min/max over all training values; a flat or empty range is an error."""
+    x = np.asarray(values, dtype=np.float64)
+    return FeatureScaler(float(x.min(initial=np.inf)), float(x.max(initial=-np.inf)))
 
 
 def apply_scaler(scaler: FeatureScaler, values) -> np.ndarray:

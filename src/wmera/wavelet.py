@@ -41,13 +41,13 @@ DAUB4_CLASSIC = np.array([
 
 
 def haar_step(signal) -> np.ndarray:
-    """One Haar pass: pairwise sums scaled by 1/sqrt(2), halving the length."""
+    """One Haar pass along the last axis: pairwise sums scaled by 1/sqrt(2),
+    halving its length."""
     x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ArgumentError("haar_step expects a 1-d signal")
-    if x.size == 0 or x.size % 2:
-        raise ArgumentError(f"haar_step needs a nonempty even-length signal, got {x.size}")
-    return (x[0::2] + x[1::2]) / math.sqrt(2)
+    if x.ndim == 0 or x.shape[-1] == 0 or x.shape[-1] % 2:
+        raise ArgumentError("haar_step needs a nonempty even-length last axis, "
+                            f"got shape {x.shape}")
+    return (x[..., 0::2] + x[..., 1::2]) / math.sqrt(2)
 
 
 def daub4_from_angles(theta_u: float, theta_v: float) -> np.ndarray:

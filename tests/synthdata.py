@@ -3,7 +3,8 @@
 import numpy as np
 
 from wmera.coarsegrain import ScaleCache, coarse_grain_dataset
-from wmera.ingest import apply_scaler, encode_sample, fit_scaler, haar_preprocess, make_windows
+from wmera.ingest import (apply_scaler, encode_samples, fit_scaler, haar_preprocess,
+                          make_windows)
 from wmera.mps import MPS, product_state
 
 
@@ -36,47 +37,41 @@ def sine_series(n_points: int, period: float = 365.25, phase: float = 0.3) -> np
 def encoded_dataset(signals, labels, n_h2: int, n_layers: int,
                     delta_data: float = 1e-12, chi_data: int = 16) -> ScaleCache:
     """Haar-reduce, rescale to [0, 1] on the whole set, encode, coarse-grain."""
-    reduced = [haar_preprocess(np.asarray(x, dtype=np.float64), n_h2) for x in signals]
-    scaler = fit_scaler(reduced)
-    states = [encode_sample(apply_scaler(scaler, v)) for v in reduced]
+    reduced = haar_preprocess(np.asarray(signals, dtype=np.float64), n_h2)
+    states = encode_samples(apply_scaler(fit_scaler(reduced), reduced))
     return coarse_grain_dataset(states, np.asarray(labels, dtype=np.float64),
                                 n_layers, delta_data, chi_data)
+
+
+def _scaled_caches(splits, n_layers: int, delta_data: float, chi_data: int):
+    """Encode each (values, labels) split with the scaler fitted on the first."""
+    scaler = fit_scaler(splits[0][0])
+    return tuple(coarse_grain_dataset(encode_samples(apply_scaler(scaler, values)),
+                                      np.asarray(labels, dtype=np.float64),
+                                      n_layers, delta_data, chi_data)
+                 for values, labels in splits)
 
 
 def classification_caches(train_signals, train_labels, test_signals, test_labels,
                           n_h2: int, n_layers: int, delta_data: float = 1e-12,
                           chi_data: int = 16):
     """Encode both splits with the feature scaler fitted on the train split."""
-    red_train = [haar_preprocess(np.asarray(x, dtype=np.float64), n_h2)
-                 for x in train_signals]
-    red_test = [haar_preprocess(np.asarray(x, dtype=np.float64), n_h2)
-                for x in test_signals]
-    scaler = fit_scaler(red_train)
-    caches = []
-    for reduced, labels in ((red_train, train_labels), (red_test, test_labels)):
-        states = [encode_sample(apply_scaler(scaler, v)) for v in reduced]
-        caches.append(coarse_grain_dataset(states, np.asarray(labels, dtype=np.float64),
-                                           n_layers, delta_data, chi_data))
-    return caches[0], caches[1]
+    splits = [(haar_preprocess(np.asarray(signals, dtype=np.float64), n_h2), labels)
+              for signals, labels in ((train_signals, train_labels),
+                                      (test_signals, test_labels))]
+    return _scaled_caches(splits, n_layers, delta_data, chi_data)
 
 
 def window_regression(series: np.ndarray, p: int, fit_lo: int, fit_hi: int,
                       n_h2: int = 0, n_layers: int = 0,
                       delta_data: float = 1e-12, chi_data: int = 16):
     """Split sliding windows into fit-range train and held-out test caches."""
-    rows = make_windows(series, p)
-    train, test = [], []
-    for start, row in enumerate(rows):
-        values = haar_preprocess(row.values, n_h2)
-        dest = train if fit_lo <= start and start + p <= fit_hi else test
-        dest.append((values, row.label))
-    scaler = fit_scaler([v for v, _ in train])
-    caches = []
-    for rows_split in (train, test):
-        states = [encode_sample(apply_scaler(scaler, v)) for v, _ in rows_split]
-        ys = np.array([y for _, y in rows_split])
-        caches.append(coarse_grain_dataset(states, ys, n_layers, delta_data, chi_data))
-    return caches[0], caches[1]
+    windows, labels = make_windows(series, p)
+    values = haar_preprocess(windows, n_h2)
+    starts = np.arange(len(labels))
+    train = (fit_lo <= starts) & (starts + p <= fit_hi)
+    return _scaled_caches([(values[train], labels[train]), (values[~train], labels[~train])],
+                          n_layers, delta_data, chi_data)
 
 
 def random_mps(n_sites: int, bond: int, rng, site_dim: int = 2) -> MPS:

@@ -213,6 +213,50 @@ class TestExitCodes:
         assert run_cli("preprocess", "--config", cfg_path) == 2
         assert "share a length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_series_value_exits_3(self, tmp_path, capsys, cell):
+        cfg_path = regression_workspace(tmp_path)
+        series = tmp_path / "series.csv"
+        lines = series.read_text().splitlines()
+        lines[5] = cell
+        series.write_text("\n".join(lines) + "\n")
+        assert run_cli("preprocess", "--config", cfg_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 6" in err
+
+    def test_clip_without_frames_exits_3(self, tmp_path, capsys):
+        """An empty data chunk is an error, not a clip of silence after padding."""
+        cfg_path = classification_workspace(tmp_path)
+        write_wav(tmp_path / "data" / "s03.wav", [])
+        assert run_cli("preprocess", "--config", cfg_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no audio frames" in err
+
+    @pytest.mark.parametrize("workspace, victim, command, code", [
+        (regression_workspace, "series.csv", "preprocess", 3),
+        (classification_workspace, "manifest.json", "preprocess", 3),
+        (classification_workspace, "run.cfg", "preprocess", 2),
+        (classification_workspace, "out/cache/train/manifest.json", "train", 3),
+        (classification_workspace, "out/metrics.jsonl", "train", 3),
+    ], ids=["series-csv", "data-manifest", "config", "cache-manifest", "metrics"])
+    def test_undecodable_text_exits_cleanly(self, tmp_path, capsys, workspace, victim,
+                                            command, code):
+        """A text file that is not UTF-8 ends in an error line and its exit
+        code; preprocess rebuilds a cache whose manifest is undecodable."""
+        cfg_path = workspace(tmp_path)
+        if victim.startswith("out/"):
+            assert run_cli("preprocess", "--config", cfg_path) == 0
+            assert run_cli("train", "--config", cfg_path) == 0
+        path = tmp_path / victim
+        path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg_path) == code
+        assert capsys.readouterr().err.startswith("error:")
+        if victim.startswith("out/cache/"):
+            assert run_cli("preprocess", "--config", cfg_path) == 0
+            assert "building cache" in capsys.readouterr().out
+            assert run_cli("train", "--config", cfg_path) == 0
+
     def test_train_without_cache_exits_5(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
         assert run_cli("train", "--config", cfg_path) == 5

@@ -1,14 +1,17 @@
 """Raw readers, windowing, scaling and the product-state feature map."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wmera.errors import ArgumentError, DataError, FormatError, NumericError
+from wmera.errors import ArgumentError, DataError, FormatError, NumericError, WmeraError
 from wmera.ingest import (
     FeatureScaler,
-    RawSample,
     apply_scaler,
     encode_sample,
     fit_scaler,
@@ -102,6 +105,16 @@ class TestReadWav:
         with pytest.raises(FormatError):
             read_wav(p)
 
+    @pytest.mark.parametrize("frames, channels", [([], 1), ([7], 2)],
+                             ids=["empty-data-chunk", "less-than-one-frame"])
+    def test_clip_without_frames_is_rejected(self, tmp_path, frames, channels):
+        """A data chunk too short to hold one frame would decode to an empty
+        clip, which padding then turns into silence."""
+        p = tmp_path / "z.wav"
+        p.write_bytes(wav_bytes(frames, channels=channels))
+        with pytest.raises(DataError, match="no audio frames"):
+            read_wav(p)
+
 
 class TestReadCsv:
     def test_single_column_file(self, tmp_path):
@@ -139,6 +152,85 @@ class TestReadCsv:
         with pytest.raises(DataError, match="no values"):
             read_series_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e400"])
+    def test_non_finite_value_names_the_line(self, tmp_path, cell):
+        p = tmp_path / "n.csv"
+        p.write_text(f"1.0\n{cell}\n3.0\n")
+        with pytest.raises(DataError, match="non-finite value .* on line 2"):
+            read_series_csv(p)
+
+    def test_non_utf8_bytes_name_the_offset(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_bytes(b"1.0\n2.\xff\n")
+        with pytest.raises(FormatError, match="byte 6 is not UTF-8"):
+            read_series_csv(p)
+
+    def test_oversized_field_is_a_format_error(self, tmp_path):
+        p = tmp_path / "o.csv"
+        p.write_text("1.0\n" + "9" * 200_000 + "\n")
+        with pytest.raises(FormatError, match="line 2"):
+            read_series_csv(p)
+
+
+def read_fuzzed(reader, blob: bytes, suffix: str):
+    """``reader`` applied to ``blob`` written to a file: a nonempty finite
+    1-d series, or None when the reader raised a package error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"fuzz{suffix}"
+        path.write_bytes(blob)
+        try:
+            x = reader(path)
+        except WmeraError:
+            return None
+    assert x.ndim == 1 and x.size > 0 and np.all(np.isfinite(x)), x
+    return x
+
+
+CSV_CELLS = st.one_of(
+    st.just(""), st.just("  "),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "-1e999", "0x10", "1,2", "\"3\""]),
+    st.text(max_size=6),
+)
+
+
+class TestReadersUnderFuzz:
+    """Every reader call ends in a usable series or a package error, never
+    in an empty or non-finite array or a stray exception."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(frames=st.lists(st.integers(-32768, 32767), min_size=1, max_size=6),
+           channels=st.integers(1, 3), junk=st.booleans(), data=st.data(),
+           kind=st.sampled_from(["edit", "edit-header", "truncate", "insert"]))
+    def test_mutated_wav(self, frames, channels, junk, data, kind):
+        blob = bytearray(wav_bytes(np.repeat(frames, channels), channels, junk_chunk=junk))
+        if kind == "truncate":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        elif kind == "insert":
+            at = data.draw(st.integers(0, len(blob)))
+            blob[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+        else:
+            last = 47 if kind == "edit-header" else len(blob) - 1
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, min(last, len(blob) - 1)))
+                blob[at] = data.draw(st.integers(0, 255))
+        read_fuzzed(read_wav, bytes(blob), ".wav")
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(cells=st.lists(CSV_CELLS, max_size=6), header=st.booleans(),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           garbage=st.sampled_from([b"", b"\xff", b"\xc3(", b"\xed\xa0\x80"]),
+           data=st.data())
+    def test_generated_csv(self, cells, header, newline, garbage, data):
+        text = newline.join((["v"] if header else []) + cells) + newline
+        blob = text.encode()
+        at = data.draw(st.integers(0, len(blob)))
+        blob = blob[:at] + garbage + blob[at:]
+        x = read_fuzzed(lambda path: read_series_csv(path, column="v" if header else None),
+                        blob, ".csv")
+        if x is not None:
+            assert not garbage
+
 
 class TestPadding:
     def test_exact_length_is_copied(self):
@@ -163,15 +255,22 @@ class TestPadding:
 class TestWindows:
     def test_count_and_labels(self):
         x = np.arange(10.0)
-        ws = make_windows(x, 4)
-        assert len(ws) == 6
-        for s, w in enumerate(ws):
-            np.testing.assert_array_equal(w.values, x[s:s + 4])
-            assert w.label == x[s + 4]
+        ws, labels = make_windows(x, 4)
+        assert ws.shape == (6, 4) and labels.shape == (6,)
+        for s, (w, label) in enumerate(zip(ws, labels)):
+            np.testing.assert_array_equal(w, x[s:s + 4])
+            assert label == x[s + 4]
 
-    def test_source_ids_carry_the_start(self):
-        ws = make_windows(np.arange(6.0), 4, source_id="temps")
-        assert ws[1].source_id == "temps[1]"
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(log_p=st.integers(2, 5), extra=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_and_labels_follow_the_series(self, log_p, extra, seed):
+        p = 1 << log_p
+        x = np.random.default_rng(seed).standard_normal(p + extra)
+        ws, labels = make_windows(x, p)
+        assert ws.shape == (extra, p) and labels.shape == (extra,)
+        for s in range(extra):
+            np.testing.assert_array_equal(ws[s], x[s:s + p])
+            assert labels[s] == x[s + p]
 
     def test_bad_window_sizes(self):
         with pytest.raises(ArgumentError):
@@ -197,6 +296,14 @@ class TestHaarPreprocess:
         x = np.arange(8.0)
         np.testing.assert_allclose(haar_preprocess(x, 2), haar_step(haar_step(x)))
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n_rows=st.integers(1, 6), n_h2=st.integers(0, 3), log_len=st.integers(3, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_one_row_at_a_time(self, n_rows, n_h2, log_len, seed):
+        x = np.random.default_rng(seed).standard_normal((n_rows, 1 << log_len))
+        want = np.stack([haar_preprocess(row, n_h2) for row in x])
+        assert np.array_equal(haar_preprocess(x, n_h2), want)
+
     def test_divisibility_is_checked(self):
         with pytest.raises(ArgumentError):
             haar_preprocess(np.arange(6.0), 2)
@@ -206,16 +313,10 @@ class TestHaarPreprocess:
 
 class TestScaler:
     def test_fit_and_apply(self):
-        sc = fit_scaler([np.array([2.0, 4.0]), np.array([6.0])])
+        sc = fit_scaler(np.array([[2.0, 4.0], [6.0, 3.0]]))
         assert sc.lo == 2.0 and sc.hi == 6.0
         np.testing.assert_allclose(apply_scaler(sc, [2.0, 4.0, 6.0]),
                                    [0.0, 0.5, 1.0])
-
-    def test_fit_accepts_raw_samples(self):
-        ws = [RawSample(np.array([1.0, 3.0]), 0.0),
-              RawSample(np.array([-1.0]), 0.0)]
-        sc = fit_scaler(ws)
-        assert (sc.lo, sc.hi) == (-1.0, 3.0)
 
     def test_out_of_range_values_clamp(self):
         sc = FeatureScaler(0.0, 10.0)
@@ -226,6 +327,8 @@ class TestScaler:
             fit_scaler([np.array([3.0, 3.0])])
         with pytest.raises(DataError):
             FeatureScaler(1.0, 1.0)
+        with pytest.raises(DataError):
+            fit_scaler(np.zeros((0, 4)))
 
 
 class TestEncodeSample:
