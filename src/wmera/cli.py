@@ -43,7 +43,7 @@ from .ingest import (
 )
 from .mps import MPS, MPSStack, load_mps, save_mps
 from .trainer import TrainConfig, evaluate, train
-from .util import canonical_json, sha256_file, sha256_hex
+from .util import atomic_write, canonical_json, read_file, read_json, sha256_hex
 from .wavelet import build_daub4_layer
 
 CACHE_ENV_VAR = "WMERA_CACHE_DIR"
@@ -114,13 +114,10 @@ class PipelineConfig:
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.is_file():
-        raise ArgumentError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ArgumentError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+        text = read_file(path, ArgumentError, f"config file not found: {path}", text=True)
+    except FormatError as exc:  # every fault of the config file exits 2
+        raise ArgumentError(str(exc)) from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -192,12 +189,7 @@ def resolve_config(args) -> PipelineConfig:
 
 
 def _load_manifest(path: Path) -> dict:
-    if not path.is_file():
-        raise ArgumentError(f"manifest not found: {path}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    manifest = read_json(path, ArgumentError, f"manifest not found: {path}")
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
     task = manifest.get("task")
@@ -256,10 +248,9 @@ def load_raw_datasets(cfg: PipelineConfig) -> tuple[tuple[np.ndarray, np.ndarray
                                                      tuple[np.ndarray, np.ndarray]]:
     """Ingest, pad, and Haar-reduce the manifest's data into one
     (samples, sites) array and one label vector per split, train then test."""
-    base = cfg.manifest_path.parent
     if cfg.task == "classification":
         entries = cfg.manifest["samples"]
-        clips = [_read_series_file(base / entry["path"]) for entry in entries]
+        clips = [_read_series_file(path) for path in _referenced_files(cfg)]
         if cfg.pad_to is not None:
             clips = [pad_to_pow2(clip, cfg.pad_to) for clip in clips]
         if len({clip.size for clip in clips}) > 1:
@@ -269,8 +260,7 @@ def load_raw_datasets(cfg: PipelineConfig) -> tuple[tuple[np.ndarray, np.ndarray
         labels = np.array([float(entry["label"]) for entry in entries])
         train = np.array([entry.get("split", "train") == "train" for entry in entries])
     else:
-        series = read_series_csv(base / cfg.manifest["series"],
-                                 column=cfg.manifest.get("column"))
+        series = read_series_csv(_referenced_files(cfg)[0], column=cfg.manifest.get("column"))
         p = cfg.manifest["p"]
         lo, hi = cfg.manifest["fit_range"]
         rows, labels = make_windows(series, p)
@@ -288,8 +278,8 @@ def compute_fingerprint(cfg: PipelineConfig) -> str:
     payload = {
         "version": __version__,
         "layer_revision": LAYER_REVISION,
-        "manifest_sha256": sha256_file(cfg.manifest_path),
-        "files": [sha256_file(p) for p in _referenced_files(cfg)],
+        "manifest_sha256": sha256_hex(read_file(cfg.manifest_path, ArgumentError)),
+        "files": [sha256_hex(read_file(p, DataError)) for p in _referenced_files(cfg)],
         "pad_to": cfg.pad_to,
         "n_h2": cfg.n_h2,
         "n_d4_layers": cfg.n_d4_layers,
@@ -316,12 +306,9 @@ def load_built_caches(cfg: PipelineConfig,
     """
     def load(split: str) -> ScaleCache:
         directory = cfg.cache_root / split
-        try:
-            manifest = read_cache_manifest(directory)
-        except StateError:  # absent, or an unfinished build
-            raise StateError(f"no preprocessing cache at {directory}; "
-                             "run 'wmera preprocess' first") from None
-        if manifest.get("fingerprint") != fingerprint:
+        manifest = read_cache_manifest(directory)
+        if (manifest.get("fingerprint") != fingerprint
+                or len(manifest["scales"]) != cfg.n_d4_layers + 1):
             raise StateError(f"the cache at {directory} was built from other data or "
                              "settings; run 'wmera preprocess' again")
         return load_cache(directory, manifest)
@@ -361,7 +348,7 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
     return caches["train"], caches["test"]
 
 
-def write_snapshot(cfg: PipelineConfig, extra: dict | None = None) -> None:
+def write_snapshot(cfg: PipelineConfig) -> None:
     """Resolved configuration, one sorted key = value per line."""
     cfg.output.mkdir(parents=True, exist_ok=True)
     entries = {
@@ -382,10 +369,9 @@ def write_snapshot(cfg: PipelineConfig, extra: dict | None = None) -> None:
     for scale, kwargs in sorted(cfg.train_overrides.items()):
         for name, value in kwargs.items():
             entries[f"{_train_key(name)}@{scale}"] = value
-    if extra:
-        entries.update(extra)
     lines = [f"{k} = {entries[k]}" for k in sorted(entries)]
-    (cfg.output / "config.snapshot").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(cfg.output / "config.snapshot", text=True) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _metric_lines(scale: int, stats_list) -> str:
@@ -406,16 +392,14 @@ def _replace_scale_metrics(path: Path, scale: int, stats_list) -> None:
     """Swap the records of ``scale`` in ``path`` for new ones and keep every
     other scale's; the file is replaced whole, so a crash leaves the old one."""
     kept = ""
-    if path.is_file():
-        try:  # ValueError: bad JSON, or bytes that are not UTF-8
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if json.loads(line)["scale"] != scale:
-                    kept += line + "\n"
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: unreadable metrics record ({exc})") from exc
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text(kept + _metric_lines(scale, stats_list), encoding="utf-8")
-    os.replace(partial, path)
+    try:  # no metrics yet reads as None
+        for line in (read_file(path, None, text=True) or "").splitlines():
+            if json.loads(line)["scale"] != scale:
+                kept += line + "\n"
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: unreadable metrics record ({exc})") from exc
+    with atomic_write(path, text=True) as f:
+        f.write(kept + _metric_lines(scale, stats_list))
 
 
 def _model_path(cfg: PipelineConfig, scale: int, init: bool = False) -> Path:
@@ -462,10 +446,7 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
     scale = cfg.n_d4_layers if args.scale is None else args.scale
     if scale < 1:
         raise ArgumentError("finegrain needs --scale >= 1")
-    source = _model_path(cfg, scale)
-    if not source.is_file():
-        raise StateError(f"no trained model at {source}; run 'wmera train' first")
-    fine, err = _fine_grain(cfg, load_mps(source), scale - 1)
+    fine, err = _fine_grain(cfg, load_mps(_model_path(cfg, scale)), scale - 1)
     target = _model_path(cfg, scale - 1, init=True)
     save_mps(target, fine)
     print(f"scale {scale} -> {scale - 1}: truncated weight {err:.3g} -> {target}")
@@ -476,13 +457,10 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     write_snapshot(cfg)
     train_cache, test_cache = load_built_caches(cfg, compute_fingerprint(cfg))
     scale = cfg.n_d4_layers if args.scale is None else args.scale
-    path = _model_path(cfg, scale)
-    if not path.is_file():
-        raise StateError(f"no trained model at {path}; run 'wmera train' first")
-    w = load_mps(path)
+    w = load_mps(_model_path(cfg, scale))
     report = _eval_report(cfg, w, scale, train_cache, test_cache)
-    out = cfg.output / f"eval_scale{scale}.json"
-    out.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    with atomic_write(cfg.output / f"eval_scale{scale}.json", text=True) as f:
+        f.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -518,8 +496,8 @@ def cmd_pipeline(cfg: PipelineConfig, args) -> int:
               + (f", test_metric {report['test_metric']:.6g}"
                  if report["test_metric"] is not None else ""))
     payload = {"task": cfg.task, "scales": summary}
-    (cfg.output / "summary.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    with atomic_write(cfg.output / "summary.json", text=True) as f:
+        f.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return 0
 
 

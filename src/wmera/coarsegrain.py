@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +51,7 @@ from .errors import (
 )
 from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, inner, product_state,
                   read_mps_records, write_mps_records)
-from .util import sha256_hex
+from .util import atomic_write, read_file, read_json, sha256_hex
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
 # A gate contracts its first (row) index with the incoming pair state:
@@ -415,11 +414,9 @@ def save_cache(cache: ScaleCache, directory) -> None:
     }
     if cache.test_samples is not None:
         manifest["test_samples"] = cache.test_samples
-    partial = directory / "manifest.json.partial"
-    with open(partial, "w", encoding="utf-8") as f:
+    with atomic_write(manifest_path, text=True) as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
-    os.replace(partial, manifest_path)
 
 
 def _is_int(v) -> bool:
@@ -476,14 +473,11 @@ def _check_manifest(path: Path, manifest) -> None:
 
 
 def read_cache_manifest(directory) -> dict:
-    """The manifest of the cache at ``directory``, checked field by field."""
+    """The manifest of the cache at ``directory``, checked field by field;
+    StateError when it is absent, as after an unfinished build."""
     path = Path(directory) / "manifest.json"
-    if not path.is_file():
-        raise StateError(f"no cache manifest at {path}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    manifest = read_json(path, StateError, f"no preprocessing cache at {directory}; "
+                                           "run 'wmera preprocess' first")
     _check_manifest(path, manifest)
     return manifest
 
@@ -502,9 +496,7 @@ def load_cache(directory, manifest: dict | None = None) -> ScaleCache:
     scales = []
     for meta in manifest["scales"]:
         path = directory / meta["file"]
-        if not path.is_file():
-            raise StateError(f"cache file missing: {path}")
-        data = path.read_bytes()
+        data = read_file(path, StateError, f"cache file missing: {path}")
         digest = sha256_hex(data)
         if digest != meta["sha256"]:
             raise DataError(f"checksum mismatch for {path}: manifest says "

@@ -19,12 +19,12 @@ import io
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ArgumentError, DataError, FormatError, NumericError
 from .mps import MPS, MPSStack
+from .util import read_file
 from .wavelet import haar_step
 
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # log of the largest finite float64
@@ -48,7 +48,7 @@ def read_wav(path) -> np.ndarray:
     Multi-channel audio is averaged to mono. Malformed files raise a format
     error naming the offending byte offset.
     """
-    data = Path(path).read_bytes()
+    data = read_file(path, DataError)
     if len(data) < 12:
         raise FormatError(f"{path}: file ends at byte {len(data)}, before the RIFF header")
     if data[0:4] != b"RIFF":
@@ -100,10 +100,7 @@ def read_series_csv(path, column: str | None = None, delimiter: str = ",") -> np
     non-finite cells are hard errors naming the line; bytes that are not
     UTF-8 are a format error naming their offset.
     """
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    text = read_file(path, DataError, text=True)
     rows = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     values = []
     try:

@@ -20,6 +20,7 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, FormatError, NumericError, StateError
+from .util import atomic_write, read_file
 
 
 class MPS:
@@ -360,6 +361,7 @@ def split_bond(m: MPS, j: int, block: np.ndarray, delta: float, chi_max: int | N
 MPS_MAGIC = b"WMERA-MPS"
 MPS_FORMAT_VERSION = 1
 _U32 = struct.Struct("<I")
+_MODEL_HEAD = MPS_MAGIC + _U32.pack(MPS_FORMAT_VERSION)
 _CORE_HEAD = struct.Struct("<IQQQ")  # header of a core: rank 3, extents
 
 
@@ -450,24 +452,17 @@ def read_mps_records(buf: bytes, count: int) -> MPSStack:
 
 
 def save_mps(path, m: MPS) -> None:
-    with open(path, "wb") as f:
-        f.write(MPS_MAGIC)
-        f.write(_U32.pack(MPS_FORMAT_VERSION))
+    with atomic_write(path) as f:
+        f.write(_MODEL_HEAD)
         write_mps_records(f, MPSStack([c[None] for c in m.cores], np.array([m.bond_dims])))
 
 
 def load_mps(path) -> MPS:
-    with open(path, "rb") as f:
-        magic = f.read(len(MPS_MAGIC))
-        if magic != MPS_MAGIC:
-            raise FormatError(f"{path}: not a model file (bad magic {magic!r})")
-        raw = f.read(_U32.size)
-        if len(raw) < _U32.size:
-            raise FormatError(f"{path}: truncated header")
-        (version,) = _U32.unpack(raw)
-        if version != MPS_FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported format version {version}")
-        try:
-            return read_mps_records(f.read(), 1).states()[0]
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    data = read_file(path, StateError, f"no trained model at {path}; run 'wmera train' first")
+    head = data[:len(_MODEL_HEAD)]
+    if head != _MODEL_HEAD:
+        raise FormatError(f"{path}: not a model file of format version {MPS_FORMAT_VERSION}")
+    try:
+        return read_mps_records(data[len(head):], 1).states()[0]
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -11,12 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wmera.cli
 import wmera.coarsegrain
+import wmera.mps
 from wmera.cli import CACHE_ENV_VAR, build_parser, main, parse_kv_file, resolve_config
 from wmera.coarsegrain import load_cache
 from wmera.errors import ArgumentError, StateError
+from wmera.mps import load_mps
 
 
 def write_wav(path, values):
@@ -257,6 +261,34 @@ class TestExitCodes:
             assert "building cache" in capsys.readouterr().out
             assert run_cli("train", "--config", cfg_path) == 0
 
+    @pytest.mark.parametrize("command", ["preprocess", "train", "pipeline"])
+    @pytest.mark.parametrize("workspace, mutate", [
+        (classification_workspace, lambda m: m["samples"][3].update(path="data/absent.wav")),
+        (classification_workspace, lambda m: m["samples"][3].update(path="data")),
+        (regression_workspace, lambda m: m.update(series="absent.csv")),
+        (regression_workspace, lambda m: m.update(series="")),
+    ], ids=["missing-clip", "clip-is-a-directory", "missing-series", "series-empty"])
+    def test_data_file_that_is_no_file_exits_3(self, tmp_path, capsys, workspace, mutate,
+                                               command):
+        """A manifest that names an absent data file, or a directory, ends in
+        an error line and exit 3 from every command that fingerprints the data."""
+        cfg_path = workspace(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        mutate(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli(command, "--config", cfg_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a readable file" in err
+
+    @pytest.mark.parametrize("init", ["absent.mps", "data"], ids=["missing", "directory"])
+    def test_init_that_is_no_model_file_exits_5(self, tmp_path, capsys, init):
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path, "--init", tmp_path / init) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: no trained model at") and "wmera train" in err
+
     def test_train_without_cache_exits_5(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
         assert run_cli("train", "--config", cfg_path) == 5
@@ -398,6 +430,24 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli("train", "--config", cfg_path) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_cache_with_other_scale_count_exits_5(self, tmp_path, capsys):
+        """A cache manifest that lists fewer scales than the settings ask for
+        is refused by train and eval (exit 5) and rebuilt by preprocess."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert run_cli("train", "--config", cfg_path) == 0
+        path = tmp_path / "out" / "cache" / "train" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["scales"][-1]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for command in ("eval", "train"):
+            assert run_cli(command, "--config", cfg_path) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "wmera preprocess" in err
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert "building cache" in capsys.readouterr().out
 
     @pytest.mark.parametrize("counted", [True, False], ids=["counted", "uncounted"])
     def test_missing_test_split_exits_5(self, tmp_path, capsys, counted):
@@ -583,6 +633,30 @@ class TestTrainEvalFinegrain:
             (2, 0), (2, 1), (2, 2), (1, 0), (1, 1), (1, 2)]
         assert not (tmp_path / "out" / "metrics.jsonl.partial").exists()
 
+    def test_failed_model_write_keeps_the_previous_model(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """A model file is replaced whole: a retrain whose write fails part-way
+        leaves the previous model byte-identical and loadable."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert run_cli("train", "--config", cfg_path) == 0
+        model = tmp_path / "out" / "model_scale1.mps"
+        before = model.read_bytes()
+        write = wmera.mps.write_mps_records
+
+        def failing_write(stream, stack, *rest):
+            write(stream, stack, *rest)
+            stream.truncate(stream.tell() // 2)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(wmera.mps, "write_mps_records", failing_write)
+        with pytest.raises(OSError):
+            run_cli("train", "--config", cfg_path, "--seed", "6")
+        assert model.read_bytes() == before
+        assert len(load_mps(model)) == 4
+        monkeypatch.undo()
+        assert run_cli("eval", "--config", cfg_path) == 0
+
     def test_unreadable_metrics_exit_3(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
         assert run_cli("preprocess", "--config", cfg_path) == 0
@@ -636,3 +710,75 @@ class TestPipeline:
         for other in outs[1:]:
             assert (other / "metrics.jsonl").read_bytes() == ref_metrics
             assert (other / "summary.json").read_bytes() == ref_summary
+
+
+_DROP = object()
+
+# What a fuzzed field becomes: any JSON type, or a name that points at an
+# absent file or at a directory ("data" and "subdir" are directories). Text
+# holds no lone surrogates: sys.stderr escapes them in an error line, but
+# pytest's captured stderr cannot encode them.
+_JSON_VALUES = st.one_of(
+    st.just(_DROP), st.none(), st.booleans(), st.integers(-2, 70), st.floats(),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=4),
+    st.sampled_from(["", ".", "data", "subdir", "absent.wav", "absent.csv", "absent.bin",
+                     "data/s00.wav", "series.csv", "scale_000.bin", "regression", "test"]),
+    st.lists(st.integers(-1, 40), max_size=3),
+    st.dictionaries(st.sampled_from(["path", "label", "split", "file"]),
+                    st.integers(-1, 1), max_size=2),
+)
+
+
+def _routes(node, route=()):
+    """The route to ``node`` and to every value inside it."""
+    yield route
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _routes(child, route + (key,))
+
+
+def _mutated_text(manifest, route, value) -> str:
+    """``manifest`` with the value at ``route`` dropped or replaced, as JSON."""
+    if not route:
+        return "" if value is _DROP else json.dumps(value)
+    manifest = json.loads(json.dumps(manifest))
+    *head, key = route
+    owner = functools.reduce(operator.getitem, head, manifest)
+    if value is _DROP:
+        del owner[key]
+    else:
+        owner[key] = value
+    return json.dumps(manifest)
+
+
+class TestManifestFuzz:
+    """Any one field of a valid data or cache manifest dropped or replaced,
+    by a value of any JSON type or by the name of an absent file or of a
+    directory: the command exits with a documented code and never raises.
+    The workspace is built once per test, not once per example."""
+
+    @staticmethod
+    def fuzz(manifest_path: Path, cfg_path: Path, *commands: str) -> None:
+        original = json.loads(manifest_path.read_text())
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(route=st.sampled_from(list(_routes(original))), value=_JSON_VALUES)
+        def check(route, value):
+            manifest_path.write_text(_mutated_text(original, route, value))
+            for command in commands:
+                assert run_cli(command, "--config", cfg_path) in (0, 2, 3, 4, 5), command
+
+        check()
+
+    @pytest.mark.parametrize("workspace", [classification_workspace, regression_workspace],
+                             ids=["classification", "regression"])
+    def test_data_manifest(self, tmp_path, capsys, workspace):
+        cfg_path = workspace(tmp_path)
+        self.fuzz(tmp_path / "manifest.json", cfg_path, "preprocess")
+
+    def test_cache_manifest(self, tmp_path, capsys):
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        cache = tmp_path / "out" / "cache" / "train"
+        (cache / "subdir").mkdir()
+        self.fuzz(cache / "manifest.json", cfg_path, "train", "eval")
