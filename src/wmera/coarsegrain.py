@@ -14,16 +14,21 @@ as a sum of per-end operator pairs. The end operators leave the sum's index
 on the two boundary bonds; the isometries then contract the even pairs into
 coarse sites, halving the chain, and only then does the index move into
 every interior bond, multiplying it by the gate's operator rank (4 for
-Daub4), for one compression sweep over the coarse chain. Fine-graining runs
-the same wrap gate on the fine chain, without isometries.
+Daub4), for one right-to-left compression sweep over the coarse chain.
+Every layer's output therefore has its orthogonality center at site 0,
+where the next layer's first gate (at sites 1, 2) is one QR away.
+Fine-graining runs the same wrap gate on the fine chain, without
+isometries, and so also returns weights centered at site 0.
 
 A dataset is one stack per scale, from encoding through the cache to
-training. It goes through each layer in chunks of consecutive samples whose
-wrap-enlarged stack, bounded from above by that of the fine chain, fits
-``_CHUNK_BYTES``; a chunk holds at least one sample, and the coarser chunks
-are joined into the next scale's stack. Single states (:func:`apply_layer`,
-:func:`apply_pair_gates` and fine-graining) run the same kernel as a stack
-of one.
+training. The adjacent gates of a layer run once on the scale's whole
+stack; only the wrap stage, whose enlarged chain is the one large
+intermediate, runs in chunks of consecutive samples whose enlarged stack,
+counted from the bonds the isometries actually leave, fits
+``_CHUNK_BYTES``. A chunk holds at least one sample, and the coarser
+chunks are joined into the next scale's stack. Single states
+(:func:`apply_layer`, :func:`apply_pair_gates` and fine-graining) run the
+same kernel as a stack of one.
 
 The on-disk cache is a manifest plus one file of state records per scale;
 :mod:`wmera.mps` writes and parses the records straight from and into the
@@ -64,11 +69,12 @@ _IDENTITY4 = np.eye(4)
 
 # Part of the cache fingerprint: raise it whenever what a layer computes
 # changes, so that caches an earlier layer kernel built are rebuilt.
-LAYER_REVISION = 2
+LAYER_REVISION = 3
 
-# Bound on the bytes of one chunk's wrap-enlarged stack. The wrap gate holds
-# the whole enlarged chain until its compression sweep ends, so this caps the
-# memory of coarse-graining independently of the dataset size.
+# Bound on the bytes of one chunk's wrap-enlarged stack. Only the wrap stage
+# is chunked: it holds the whole enlarged chain until its compression sweep
+# ends, so this caps the memory of coarse-graining independently of the
+# dataset size, while the adjacent gates run on every sample at once.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -112,11 +118,13 @@ def _end_operator_pairs(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compress(st: MPSStack, delta: float, chi_max: int | None) -> np.ndarray:
-    """Reduce bond dimensions with one canonical left-to-right split sweep."""
-    _canonicalize(st, 0)
+    """Reduce bond dimensions with one canonical right-to-left split sweep,
+    which leaves the orthogonality center at site 0."""
+    last = len(st.cores) - 1
+    _canonicalize(st, last)
     err = np.zeros(len(st.bonds))
-    for j in range(len(st.cores) - 1):
-        err += _split(st, j, _merge(st.cores[j], st.cores[j + 1]), delta, chi_max, j + 1)
+    for j in range(last - 1, -1, -1):
+        err += _split(st, j, _merge(st.cores[j], st.cores[j + 1]), delta, chi_max, j)
     return err
 
 
@@ -160,8 +168,10 @@ def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float, chi_max: int
     """Apply ``gate`` to every pair (2i+1, 2i+2 mod N) of every sample; with
     a ``layer``, contract its even pairs into coarse sites as well.
 
-    Returns the resulting stack and each sample's summed truncation error.
-    The identity gate is skipped.
+    The adjacent gates update ``st`` in place, all samples at once; the wrap
+    gate runs once per :func:`_chunks` range of rows. Returns
+    the resulting stack and each sample's summed truncation error. The
+    identity gate is skipped.
     """
     n_sites = len(st.cores)
     if n_sites < 4 or n_sites % 2:
@@ -172,8 +182,17 @@ def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float, chi_max: int
         return (st if layer is None else apply_isometries(st, layer)), err
     for i in range(n_sites // 2 - 1):
         err += _apply_gate_adjacent(st, gate, 2 * i + 1, delta, chi_max)
-    st, wrap_err = _apply_gate_straddling(st, gate, delta, chi_max, layer)
-    return st, err + wrap_err
+    # the bonds the wrap gate enlarges: the isometries keep the even cuts
+    grown = (st.bonds if layer is None else st.bonds[:, ::2]).copy()
+    grown[:, 1:-1] *= len(_end_operator_pairs(gate)[0])
+    ranges = _chunks(grown)
+    if len(ranges) == 1:
+        st, wrap_err = _apply_gate_straddling(st, gate, delta, chi_max, layer)
+        return st, err + wrap_err
+    parts = [_apply_gate_straddling(st.rows(lo, hi), gate, delta, chi_max, layer)
+             for lo, hi in ranges]
+    return (MPSStack.concatenate([part for part, _ in parts]),
+            err + np.concatenate([wrap_err for _, wrap_err in parts]))
 
 
 def apply_pair_gates(m: MPS, gate: np.ndarray, delta: float,
@@ -199,31 +218,18 @@ def apply_isometries(st: MPSStack, layer: WaveletMeraLayer) -> MPSStack:
     return MPSStack(cores, st.bonds[:, ::2].copy())
 
 
-def _chunks(bonds: np.ndarray, layer: WaveletMeraLayer,
-            chi_max: int | None) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of consecutive samples, given their ``bonds``,
-    whose wrap-enlarged stack fits _CHUNK_BYTES.
-
-    Adjacent gates can at most double an even cut relative to its odd
-    neighbours (capped at ``chi_max``) and leave odd cuts as they are; the
-    wrap gate then multiplies every interior bond by the gate's operator
-    rank. Bytes are counted on the fine chain: with each even cut at most
-    twice either odd neighbour, that bounds the coarse chain the wrap gate
-    enlarges.
-    """
-    rank = len(_end_operator_pairs(_gate_matrix(layer.disentangler))[0])
-    grown = bonds.copy()
-    grown[:, 2:-1:2] = 2 * np.minimum(bonds[:, 1:-2:2], bonds[:, 3::2])
-    if chi_max is not None:
-        grown[:, 2:-1:2] = np.minimum(grown[:, 2:-1:2], chi_max)
-    grown[:, 1:-1] *= rank
+def _chunks(bonds: np.ndarray) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of consecutive samples whose stack, with the
+    given per-sample ``bonds`` (n, L + 1) and site dimension 2, fits
+    _CHUNK_BYTES when padded to the widest of them; a range holds at least
+    one sample."""
     chunks, start = [], 0
-    extent = grown[0]
+    extent = bonds[0]
     for i in range(1, len(bonds)):
-        wider = np.maximum(extent, grown[i])
+        wider = np.maximum(extent, bonds[i])
         if (i - start + 1) * 16 * int(wider[:-1] @ wider[1:]) > _CHUNK_BYTES:
             chunks.append((start, i))
-            start, wider = i, grown[i]
+            start, wider = i, bonds[i]
         extent = wider
     chunks.append((start, len(bonds)))
     return chunks
@@ -231,12 +237,12 @@ def _chunks(bonds: np.ndarray, layer: WaveletMeraLayer,
 
 def _layer_states(st: MPSStack, layer: WaveletMeraLayer, delta: float,
                   chi_max: int | None) -> MPSStack:
-    """Every sample of ``st`` one layer coarser, chunk by chunk; ``st`` is
-    left as it was."""
+    """Every sample of ``st`` one layer coarser; ``st`` is left as it was."""
     _check_sites(st, layer.n_sites_in)
-    return MPSStack.concatenate([
-        _apply_pair_gates(st.rows(lo, hi), layer.disentangler, delta, chi_max, layer)[0]
-        for lo, hi in _chunks(st.bonds, layer, chi_max)])
+    # kernel steps replace cores and never write into them, so a new list
+    # and a copy of the bonds keep ``st`` intact
+    own = MPSStack(list(st.cores), st.bonds.copy(), st.center)
+    return _apply_pair_gates(own, layer.disentangler, delta, chi_max, layer)[0]
 
 
 def apply_layer(m: MPS, layer: WaveletMeraLayer, delta_data: float = 1e-12,

@@ -392,30 +392,36 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
 
     Starts from ``w0`` when given, otherwise from a seeded random chain.
     One SweepStats entry is emitted per full sweep, measured after its
-    returning pass.
+    returning pass. An overflow anywhere in training, as from a label whose
+    square is past the float64 range, is a NumericError.
     """
     if data.n_samples == 0:
         raise ArgumentError("empty dataset")
     _metric_from_outputs(np.zeros(1), np.zeros(1), task)  # validate the task name
     w = w0 if w0 is not None else random_weights(data.n_sites, cfg)
     w = canonicalize(w, 0)
-    env = Environment(w, data)
-    env.refresh_right(w)
     stats: list[SweepStats] = []
-    for k in range(cfg.n_sweeps):
-        t0 = time.perf_counter()
-        w, forth = sweep(w, data, cfg, "lr", env, task, monitor)
-        w, back = sweep(w, data, cfg, "rl", env, task, monitor)
-        stats.append(SweepStats(
-            sweep_index=k,
-            cost=back.cost,
-            max_bond=back.max_bond,
-            train_metric=back.train_metric,
-            wall_time=time.perf_counter() - t0,
-            truncated_weight=forth.truncated_weight + back.truncated_weight,
-            rollbacks=forth.rollbacks + back.rollbacks,
-            cg_iters=forth.cg_iters + back.cg_iters,
-        ))
+    try:
+        with np.errstate(over="raise"):
+            env = Environment(w, data)
+            env.refresh_right(w)
+            for k in range(cfg.n_sweeps):
+                t0 = time.perf_counter()
+                w, forth = sweep(w, data, cfg, "lr", env, task, monitor)
+                w, back = sweep(w, data, cfg, "rl", env, task, monitor)
+                stats.append(SweepStats(
+                    sweep_index=k,
+                    cost=back.cost,
+                    max_bond=back.max_bond,
+                    train_metric=back.train_metric,
+                    wall_time=time.perf_counter() - t0,
+                    truncated_weight=forth.truncated_weight + back.truncated_weight,
+                    rollbacks=forth.rollbacks + back.rollbacks,
+                    cg_iters=forth.cg_iters + back.cg_iters,
+                ))
+    except FloatingPointError as exc:
+        raise NumericError(f"training left the float64 range ({exc}); labels or "
+                           "sample norms are too large") from None
     return w, stats
 
 

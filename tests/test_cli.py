@@ -431,6 +431,24 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg_path) == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("label", [3e229, 1e153])
+    def test_huge_cache_label_exits_4(self, tmp_path, capsys, label):
+        """A finite label too large for training's float64 products passes
+        the manifest check, but train stops with exit 4 at the first
+        overflow, instead of warning and finishing with an infinite cost.
+        A square of 1e153 is still finite; its products in the solve are not."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        path = tmp_path / "out" / "cache" / "train" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["labels"][7] = label
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path) == 4
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out" / "metrics.jsonl").exists()
+
     def test_cache_with_other_scale_count_exits_5(self, tmp_path, capsys):
         """A cache manifest that lists fewer scales than the settings ask for
         is refused by train and eval (exit 5) and rebuilt by preprocess."""

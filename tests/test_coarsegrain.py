@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wmera.coarsegrain
 from synthdata import random_mps, random_product_state
 from wmera.coarsegrain import (
     ScaleCache,
@@ -25,6 +26,7 @@ from wmera.coarsegrain import (
     single_particle_response,
 )
 from wmera.errors import ArgumentError, DataError, DimensionError, FormatError, StateError
+from wmera.finegrain import fine_grain_weights
 from wmera.mps import MPS, MPSStack, inner, product_state
 from wmera.wavelet import (build_daub4_layer, build_haar_layer, build_layer, daub4_from_angles,
                            DAUB4_ANGLES)
@@ -67,19 +69,26 @@ def ref_move_center(cores: list, old, new: int) -> list:
     return cores
 
 
-def ref_split(cores: list, j: int, block: np.ndarray, delta: float, chi) -> list:
+def ref_split(cores: list, j: int, block: np.ndarray, delta: float, chi,
+              absorb_left: bool = False) -> list:
     """Per-chain truncated SVD split of a (left, site, site, right) block into
-    cores j and j + 1, singular values absorbed to the right. The rank rule:
-    keep s >= delta, at most chi, at least one."""
+    cores j and j + 1, singular values absorbed to the right, or to the left
+    with ``absorb_left``. The rank rule: keep s >= delta, at most chi, at
+    least one."""
     dl, d, d2, dr = block.shape
     u, s, vh = np.linalg.svd(block.reshape(dl * d, d2 * dr), full_matrices=False)
     keep = int(np.count_nonzero(s >= delta))
     if chi is not None:
         keep = min(keep, chi)
     keep = max(keep, 1)
+    u, vh = u[:, :keep], vh[:keep]
+    if absorb_left:
+        u = u * s[:keep]
+    else:
+        vh = s[:keep, None] * vh
     cores = list(cores)
-    cores[j] = u[:, :keep].reshape(dl, d, keep)
-    cores[j + 1] = (s[:keep, None] * vh[:keep]).reshape(keep, d2, dr)
+    cores[j] = u.reshape(dl, d, keep)
+    cores[j + 1] = vh.reshape(keep, d2, dr)
     return cores
 
 
@@ -112,9 +121,10 @@ def reference_layer(m: MPS, layer, delta: float, chi) -> MPS:
                                 axis=0))
     v3 = layer.isometry.reshape(2, 2, 2)
     cores = [np.einsum("lstr,cst->lcr", ref_merge(grown, 2 * i), v3) for i in range(n // 2)]
-    cores = ref_move_center(cores, None, 0)
-    for j in range(n // 2 - 1):
-        cores = ref_split(cores, j, ref_merge(cores, j), delta, chi)
+    # compression: center to the last site, then split leftward
+    cores = ref_move_center(cores, None, n // 2 - 1)
+    for j in range(n // 2 - 2, -1, -1):
+        cores = ref_split(cores, j, ref_merge(cores, j), delta, chi, absorb_left=True)
     return MPS(cores)
 
 
@@ -288,6 +298,14 @@ def mixed_batch(seed: int, n_sites: int, n_products: int, n_random: int) -> list
     return batch
 
 
+def assert_right_orthogonal(m: MPS) -> None:
+    """Cores 1... of ``m``, each as a (left bond, site x right bond)
+    matrix, have orthonormal rows."""
+    for core in m.cores[1:]:
+        mat = core.reshape(core.shape[0], -1)
+        np.testing.assert_allclose(mat @ mat.T, np.eye(len(mat)), atol=1e-10)
+
+
 class TestStackedKernel:
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_sites=st.sampled_from([4, 8]),
@@ -312,6 +330,52 @@ class TestStackedKernel:
                 assert got.bond_dims == alone[level].bond_dims == ref.bond_dims
                 assert relative_sq_distance(got, alone[level]) <= 1e-12
                 assert relative_sq_distance(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("seed, chi", [(40, None), (41, 3), (42, 16)])
+    def test_wrap_chunks_do_not_change_states(self, seed, chi, monkeypatch):
+        """A wrap chunk of one sample and one chunk of all samples give every
+        sample the same bonds and, within roundoff, the same state."""
+        batch = mixed_batch(seed, 8, 3, 4)
+        wrap = wmera.coarsegrain._apply_gate_straddling
+        calls = []
+
+        def counted(st, *args):
+            calls.append(len(st.bonds))
+            return wrap(st, *args)
+
+        monkeypatch.setattr(wmera.coarsegrain, "_apply_gate_straddling", counted)
+        runs = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(wmera.coarsegrain, "_CHUNK_BYTES", budget)
+            calls.clear()
+            runs.append(coarse_grain_dataset(batch, np.zeros(len(batch)), 2, 1e-12, chi))
+            assert calls == ([1] * len(batch) * 2 if budget == 1 else [len(batch)] * 2)
+        small, whole = runs
+        for level in (1, 2):
+            np.testing.assert_array_equal(small.scales[level].stack.bonds,
+                                          whole.scales[level].stack.bonds)
+            for a, b in zip(small.scales[level].samples, whole.scales[level].samples):
+                assert relative_sq_distance(a, b) <= 1e-12
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_sites=st.sampled_from([8, 16]),
+           n_products=st.integers(0, 3), n_random=st.integers(1, 3),
+           delta=st.sampled_from([0.0, 1e-12]), chi=st.sampled_from([None, 2, 3, 16]))
+    def test_layer_outputs_are_centered_at_site_0(self, seed, n_sites, n_products,
+                                                  n_random, delta, chi):
+        """Every layer's output stack claims center 0, and its cores 1... are
+        right-orthogonal within each sample's own bonds; fine-grained weights
+        claim and hold the same gauge."""
+        batch = mixed_batch(seed, n_sites, n_products, n_random)
+        cache = coarse_grain_dataset(batch, np.zeros(len(batch)), 2, delta, chi)
+        for sd in cache.scales[1:]:
+            assert sd.stack.center == 0
+            for x in sd.samples:
+                assert_right_orthogonal(x)
+        w = random_mps(n_sites // 2, 3, np.random.default_rng(seed))
+        fine, _ = fine_grain_weights(w, build_daub4_layer(n_sites), delta, chi)
+        assert fine.ortho_center == 0
+        assert_right_orthogonal(fine)
 
     def test_compress_reduces_padded_bonds(self):
         rng = np.random.default_rng(10)
