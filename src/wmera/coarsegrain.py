@@ -12,21 +12,25 @@ followed by a truncated SVD re-split. The pair straddling the chain ends
 (periodic wrap) cannot be merged across the open boundary, so it is applied
 as a sum of per-end operator pairs. The end operators leave the sum's index
 on the two boundary bonds; the isometries then contract the even pairs into
-coarse sites, halving the chain, and only then does the index move into
-every interior bond, multiplying it by the gate's operator rank (4 for
-Daub4), for one right-to-left compression sweep over the coarse chain.
-Every layer's output therefore has its orthogonality center at site 0,
-where the next layer's first gate (at sites 1, 2) is one QR away.
-Fine-graining runs the same wrap gate on the fine chain, without
-isometries, and so also returns weights centered at site 0.
+coarse sites, halving the chain. Closing the loop would carry the index
+through every interior bond, multiplying it by the gate's operator rank (4
+for Daub4), but that enlarged chain is never built: one left-to-right pass
+keeps only the R factor of each of its left parts, and one right-to-left
+pass of one-site SVDs against those R factors cuts every bond of the
+coarse chain to its minimal rank. Every layer's output therefore has its
+orthogonality center at site 0, where the next layer's first gate (at
+sites 1, 2) is one QR away. Fine-graining runs the same wrap gate on the
+fine chain, without isometries, and so also returns weights centered at
+site 0.
 
 A dataset is one stack per scale, from encoding through the cache to
 training. The adjacent gates of a layer run once on the scale's whole
-stack; only the wrap stage, whose enlarged chain is the one large
-intermediate, runs in chunks of consecutive samples whose enlarged stack,
-counted from the bonds the isometries actually leave, fits
-``_CHUNK_BYTES``. A chunk holds at least one sample, and the coarser
-chunks are joined into the next scale's stack. Single states
+stack; only the wrap stage, whose R factors are the one large
+intermediate (at most half the enlarged chain), runs in chunks of
+consecutive samples whose enlarged stack, counted from the bonds the
+isometries actually leave, would fit ``_CHUNK_BYTES``. A chunk holds at
+least one sample, and the coarser chunks are joined into the next scale's
+stack. Single states
 (:func:`apply_layer`, :func:`apply_pair_gates` and fine-graining) run the
 same kernel as a stack of one.
 
@@ -54,8 +58,8 @@ from .errors import (
     FormatError,
     StateError,
 )
-from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, inner, product_state,
-                  read_mps_records, write_mps_records)
+from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, _trim_left, _trim_right,
+                  inner, product_state, read_mps_records, svd_split, write_mps_records)
 from .util import atomic_write, read_file, read_json, sha256_hex
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
@@ -69,11 +73,12 @@ _IDENTITY4 = np.eye(4)
 
 # Part of the cache fingerprint: raise it whenever what a layer computes
 # changes, so that caches an earlier layer kernel built are rebuilt.
-LAYER_REVISION = 3
+LAYER_REVISION = 4
 
-# Bound on the bytes of one chunk's wrap-enlarged stack. Only the wrap stage
-# is chunked: it holds the whole enlarged chain until its compression sweep
-# ends, so this caps the memory of coarse-graining independently of the
+# Bound on the bytes one chunk's wrap-enlarged stack would take. Only the
+# wrap stage is chunked: it never builds that stack, but holds the R factor
+# of each of its left parts until the compression ends, at most half those
+# bytes, so this caps the memory of coarse-graining independently of the
 # dataset size, while the adjacent gates run on every sample at once.
 _CHUNK_BYTES = 4 << 20
 
@@ -117,31 +122,68 @@ def _end_operator_pairs(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left_ops, right_ops
 
 
-def _compress(st: MPSStack, delta: float, chi_max: int | None) -> np.ndarray:
-    """Reduce bond dimensions with one canonical right-to-left split sweep,
-    which leaves the orthogonality center at site 0."""
-    last = len(st.cores) - 1
-    _canonicalize(st, last)
-    err = np.zeros(len(st.bonds))
-    for j in range(last - 1, -1, -1):
-        err += _split(st, j, _merge(st.cores[j], st.cores[j + 1]), delta, chi_max, j)
+def _compress(st: MPSStack, k: int, delta: float, chi_max: int | None) -> np.ndarray:
+    """Close a chain whose two boundary bonds carry one loop index of extent
+    ``k`` and compress it to minimal bonds, centered at site 0.
+
+    The closed chain has cores A_0 = C_0 with the loop index moved to its
+    right bond and A_j = C_j (x) I_k after it, each bond indexed (bond,
+    loop). No A_j is formed. Pass 1, left to right, keeps only the R
+    factor of each left part A_0 ... A_{j-1}; pass 2, right to left, cuts
+    at j by a one-site SVD of R_j F_j, where F_j is A_j times what the sweep
+    carried in from the right: Vh becomes the right-orthogonal core j and
+    F_j Vh^T moves into site j - 1. Each left part is Q_j R_j with
+    orthonormal Q_j, so these are the chain's own Schmidt values and the
+    kept bonds are minimal. Updates ``st`` in place and returns each
+    sample's truncation error; ``k = 1`` compresses an open chain.
+    """
+    cores, bonds = st.cores, st.bonds
+    n, last = len(bonds), len(cores) - 1
+    first = cores[0].transpose(0, 2, 3, 1).reshape(n, 2, -1)  # A_0: (s, (bond, loop))
+    rs = [np.linalg.qr(first, mode="r")]
+    ranks = [np.minimum(2, k * bonds[:, 1])]  # each sample's own rows of R_1
+    bonds[:, [0, -1]] = 1
+    for j in range(1, last):
+        c = cores[j]
+        bl, br = c.shape[1], c.shape[3]
+        # R_j (C_j (x) I_k): the loop index rides along the product
+        r = rs[-1].reshape(n, -1, bl, k).transpose(0, 1, 3, 2).reshape(n, -1, bl)
+        m = (r @ c.reshape(n, bl, -1)).reshape(n, -1, k, 2, br).transpose(0, 1, 3, 4, 2)
+        rs.append(np.linalg.qr(m.reshape(n, -1, br * k), mode="r"))
+        ranks.append(np.minimum(2 * ranks[-1], k * bonds[:, j + 1]))
+    err = np.zeros(n)
+    f = cores[last].transpose(0, 1, 3, 2).reshape(n, -1, 2)  # F_last: ((bond, loop), s)
+    for j in range(last, 0, -1):
+        size = np.minimum(ranks[j - 1], 2 * bonds[:, j + 1])
+        _, _, vh, keep, e = svd_split(rs[j - 1] @ f, delta, chi_max, size)
+        err += e
+        core = vh.reshape(n, -1, 2, f.shape[2] // 2)
+        _trim_left(core, keep)
+        _trim_right(core, bonds[:, j + 1])
+        cores[j], bonds[:, j] = core, keep
+        g = f @ core.reshape(n, core.shape[1], -1).transpose(0, 2, 1)
+        if j > 1:  # (C_{j-1} (x) I_k) G, the loop index again riding along
+            c = cores[j - 1]
+            bl, bm = c.shape[1], c.shape[3]
+            f = (c.reshape(n, -1, bm) @ g.reshape(n, bm, -1)).reshape(n, bl, 2, k, -1)
+            f = f.transpose(0, 1, 3, 2, 4).reshape(n, bl * k, -1)
+    cores[0] = (first @ g).reshape(n, 1, 2, -1)
+    st.center = 0
     return err
 
 
 def _apply_gate_straddling(st: MPSStack, gate: np.ndarray, delta: float,
                            chi_max: int | None, layer: WaveletMeraLayer | None = None
                            ) -> tuple[MPSStack, np.ndarray]:
-    """Gate on the (last, first) pair, then one compression sweep; with a
+    """Gate on the (last, first) pair, then one compression; with a
     ``layer``, its isometries run in between.
 
     A joint re-split of the two end sites would thread a bond around the
     loop, so every state becomes a sum over the gate's per-end operator
     pairs. The end operators leave the pair index on the two boundary bonds,
-    where the isometries pass it through; closing the chain moves it into
-    every interior bond (a block-diagonal enlargement, indexed (old bond,
-    pair) so each sample's block leads), and the sweep, over the N/2 coarse
-    sites when there is a layer, restores minimal bonds. Returns the stack
-    and each sample's truncation error.
+    where the isometries pass it through, and :func:`_compress` closes the
+    loop and restores minimal bonds, over the N/2 coarse sites when there
+    is a layer. Returns the stack and each sample's truncation error.
     """
     left_ops, right_ops = _end_operator_pairs(gate)
     k = len(left_ops)
@@ -150,17 +192,7 @@ def _apply_gate_straddling(st: MPSStack, gate: np.ndarray, delta: float,
     st.bonds[:, [0, -1]] = k
     if layer is not None:
         st = apply_isometries(st, layer)
-    cores = st.cores
-    n, eye = len(st.bonds), np.eye(k)[:, None, None, :]
-    cores[0] = cores[0].transpose(0, 2, 3, 1).reshape(n, 1, 2, -1)
-    for j in range(1, len(cores) - 1):
-        _, bl, _, br = cores[j].shape
-        cores[j] = (cores[j][:, :, None, :, :, None] * eye).reshape(n, bl * k, 2, br * k)
-    cores[-1] = cores[-1].transpose(0, 1, 3, 2).reshape(n, -1, 2, 1)
-    st.bonds[:, 1:-1] *= k
-    st.bonds[:, [0, -1]] = 1
-    st.center = None
-    return st, _compress(st, delta, chi_max)
+    return st, _compress(st, k, delta, chi_max)
 
 
 def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float, chi_max: int | None,
@@ -222,7 +254,9 @@ def _chunks(bonds: np.ndarray) -> list[tuple[int, int]]:
     """Row ranges [lo, hi) of consecutive samples whose stack, with the
     given per-sample ``bonds`` (n, L + 1) and site dimension 2, fits
     _CHUNK_BYTES when padded to the widest of them; a range holds at least
-    one sample."""
+    one sample. The wrap stage passes the bonds of its enlarged chain,
+    which it never builds: the R factors it holds instead take at most half
+    of that stack's bytes."""
     chunks, start = [], 0
     extent = bonds[0]
     for i in range(1, len(bonds)):

@@ -20,8 +20,9 @@ No work runs on worker threads.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -401,31 +402,40 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
     w = w0 if w0 is not None else random_weights(data.n_sites, cfg)
     w = canonicalize(w, 0)
     stats: list[SweepStats] = []
-    try:
-        with np.errstate(over="raise"):
-            env = Environment(w, data)
-            env.refresh_right(w)
-            for k in range(cfg.n_sweeps):
-                t0 = time.perf_counter()
-                w, forth = sweep(w, data, cfg, "lr", env, task, monitor)
-                w, back = sweep(w, data, cfg, "rl", env, task, monitor)
-                stats.append(SweepStats(
-                    sweep_index=k,
-                    cost=back.cost,
-                    max_bond=back.max_bond,
-                    train_metric=back.train_metric,
-                    wall_time=time.perf_counter() - t0,
-                    truncated_weight=forth.truncated_weight + back.truncated_weight,
-                    rollbacks=forth.rollbacks + back.rollbacks,
-                    cg_iters=forth.cg_iters + back.cg_iters,
-                ))
-    except FloatingPointError as exc:
-        raise NumericError(f"training left the float64 range ({exc}); labels or "
-                           "sample norms are too large") from None
+    with _overflow_is_numeric_error("training"):
+        env = Environment(w, data)
+        env.refresh_right(w)
+        for k in range(cfg.n_sweeps):
+            t0 = time.perf_counter()
+            w, forth = sweep(w, data, cfg, "lr", env, task, monitor)
+            w, back = sweep(w, data, cfg, "rl", env, task, monitor)
+            stats.append(SweepStats(
+                sweep_index=k,
+                cost=back.cost,
+                max_bond=back.max_bond,
+                train_metric=back.train_metric,
+                wall_time=time.perf_counter() - t0,
+                truncated_weight=forth.truncated_weight + back.truncated_weight,
+                rollbacks=forth.rollbacks + back.rollbacks,
+                cg_iters=forth.cg_iters + back.cg_iters,
+            ))
     return w, stats
 
 
 def evaluate(w: MPS, data: ScaleData, task: str) -> float:
     """Accuracy for classification (sign match, ties to +1), mean absolute
-    deviation for regression."""
-    return _metric_from_outputs(model_outputs(w, data), data.labels, task)
+    deviation for regression. An overflow, as from weights or samples too
+    large for their overlaps, is a NumericError."""
+    with _overflow_is_numeric_error("evaluation"):
+        return _metric_from_outputs(model_outputs(w, data), data.labels, task)
+
+
+@contextmanager
+def _overflow_is_numeric_error(what: str) -> Iterator[None]:
+    """Raise NumericError at the first floating-point overflow inside."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{what} left the float64 range ({exc}); labels, weights or "
+                           "sample norms are too large") from None

@@ -20,7 +20,7 @@ import wmera.mps
 from wmera.cli import CACHE_ENV_VAR, build_parser, main, parse_kv_file, resolve_config
 from wmera.coarsegrain import load_cache
 from wmera.errors import ArgumentError, StateError
-from wmera.mps import load_mps
+from wmera.mps import MPS, load_mps, save_mps
 
 
 def write_wav(path, values):
@@ -448,6 +448,22 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg_path) == 4
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out" / "metrics.jsonl").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_model_in_eval_exits_4(self, tmp_path, capsys):
+        """A trained model whose cores are scaled by 1e200 overflows in its
+        outputs: eval stops with exit 4 and writes no report, instead of
+        warning and reporting an infinite test metric."""
+        cfg_path = regression_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert run_cli("train", "--config", cfg_path, "--scale", "1") == 0
+        model = tmp_path / "out" / "model_scale1.mps"
+        w = load_mps(model)
+        save_mps(model, MPS([c * 1e200 for c in w.cores]))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg_path, "--scale", "1") == 4
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out" / "eval_scale1.json").exists()
 
     def test_cache_with_other_scale_count_exits_5(self, tmp_path, capsys):
         """A cache manifest that lists fewer scales than the settings ask for

@@ -96,18 +96,10 @@ def ref_merge(cores: list, j: int) -> np.ndarray:
     return np.tensordot(cores[j], cores[j + 1], axes=(2, 0))
 
 
-def reference_layer(m: MPS, layer, delta: float, chi) -> MPS:
-    """One layer applied gate by gate to one state, on the per-chain
-    algebra above: the reference the stacked kernel must reproduce,
-    truncation included."""
-    n = len(m)
-    g4 = layer.disentangler.reshape(2, 2, 2, 2)
-    cores, center = m.cores, None
-    for j in range(1, n - 2, 2):
-        cores = ref_move_center(cores, center, j)
-        gated = np.einsum("lstr,stab->labr", ref_merge(cores, j), g4)
-        cores, center = ref_split(cores, j, gated, delta, chi), j + 1
-    # wrap gate: a sum over per-end operator pairs, block-diagonal in between
+def ref_enlarged_chain(cores: list, g4: np.ndarray) -> list:
+    """One chain's wrap gate ``g4`` as an open chain: a sum over per-end
+    operator pairs, whose index runs through every interior bond, block
+    diagonal there."""
     u, s, vh = np.linalg.svd(g4.transpose(0, 2, 1, 3).reshape(4, 4))
     keep = s > 1e-14
     left_ops = (u[:, keep] * np.sqrt(s[keep])).T.reshape(-1, 2, 2)
@@ -119,6 +111,21 @@ def reference_layer(m: MPS, layer, delta: float, chi) -> MPS:
               for c in cores[1:-1]]
     grown.append(np.concatenate([np.einsum("sa,lsr->lar", p, cores[-1]) for p in left_ops],
                                 axis=0))
+    return grown
+
+
+def reference_layer(m: MPS, layer, delta: float, chi) -> MPS:
+    """One layer applied gate by gate to one state, on the per-chain
+    algebra above: the reference the stacked kernel must reproduce,
+    truncation included."""
+    n = len(m)
+    g4 = layer.disentangler.reshape(2, 2, 2, 2)
+    cores, center = m.cores, None
+    for j in range(1, n - 2, 2):
+        cores = ref_move_center(cores, center, j)
+        gated = np.einsum("lstr,stab->labr", ref_merge(cores, j), g4)
+        cores, center = ref_split(cores, j, gated, delta, chi), j + 1
+    grown = ref_enlarged_chain(cores, g4)
     v3 = layer.isometry.reshape(2, 2, 2)
     cores = [np.einsum("lstr,cst->lcr", ref_merge(grown, 2 * i), v3) for i in range(n // 2)]
     # compression: center to the last site, then split leftward
@@ -377,6 +384,45 @@ class TestStackedKernel:
         assert fine.ortho_center == 0
         assert_right_orthogonal(fine)
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_sites=st.sampled_from([4, 8, 16]),
+           isometries=st.booleans(), n_samples=st.integers(2, 5),
+           n_products=st.integers(0, 5), delta=st.sampled_from([0.0, 1e-12]),
+           chi=st.sampled_from([None, 2, 3]))
+    def test_wrap_stage_matches_enlarged_chain_compression(self, seed, n_sites, isometries,
+                                                          n_samples, n_products, delta, chi):
+        """The wrap stage on a padded stack of 2 to 5 mixed samples gives
+        each sample the bonds, state and truncation error of a textbook
+        compression of its explicitly enlarged chain: a QR sweep to the
+        last site, then one-site SVDs right to left."""
+        n_products = min(n_products, n_samples)
+        batch = mixed_batch(seed, n_sites, n_products, n_samples - n_products)
+        layer = build_daub4_layer(n_sites)
+        g4 = layer.disentangler.reshape(2, 2, 2, 2)
+        v3 = layer.isometry.reshape(2, 2, 2)
+        out, err = wmera.coarsegrain._apply_gate_straddling(
+            MPSStack.from_states(batch), layer.disentangler, delta, chi,
+            layer if isometries else None)
+        assert err.shape == (n_samples,)
+        for x, got, got_err in zip(batch, out.states(), err):
+            cores = ref_enlarged_chain(x.cores, g4)
+            if isometries:
+                cores = [np.einsum("lstr,cst->lcr", ref_merge(cores, j), v3)
+                         for j in range(0, n_sites, 2)]
+            cores = ref_move_center(cores, None, len(cores) - 1)
+            want_err = 0.0
+            for j in range(len(cores) - 1, 0, -1):
+                dl, d, dr = cores[j].shape
+                u, s, vh = np.linalg.svd(cores[j].reshape(dl, d * dr), full_matrices=False)
+                keep = max(min(int(np.count_nonzero(s >= delta)), chi or len(s)), 1)
+                want_err += float(np.sum(s[keep:] ** 2))
+                cores[j] = vh[:keep].reshape(keep, d, dr)
+                cores[j - 1] = np.tensordot(cores[j - 1], u[:, :keep] * s[:keep], axes=(2, 0))
+            want = MPS(cores)
+            assert got.bond_dims == want.bond_dims
+            assert relative_sq_distance(got, want) <= 1e-12
+            assert abs(got_err - want_err) <= 1e-10 * want_err + 1e-24
+
     def test_compress_reduces_padded_bonds(self):
         rng = np.random.default_rng(10)
         base = random_product_state(6, rng)
@@ -388,7 +434,7 @@ class TestStackedKernel:
         padded_cores[0] = padded_cores[0][:1]
         padded_cores[-1] = padded_cores[-1][:, :, :1]
         stack = MPSStack.from_states([MPS(padded_cores)])
-        err = _compress(stack, 1e-12, None)
+        err = _compress(stack, 1, 1e-12, None)
         out = stack.states()[0]
         assert out.max_bond == 1
         assert err[0] < 1e-20
