@@ -42,7 +42,7 @@ from .ingest import (
     read_wav,
 )
 from .mps import MPS, MPSStack, load_mps, save_mps
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, cost, evaluate, train
 from .util import atomic_write, canonical_json, read_file, read_json, sha256_hex
 from .wavelet import build_daub4_layer
 
@@ -374,9 +374,12 @@ def write_snapshot(cfg: PipelineConfig) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _metric_lines(scale: int, stats_list) -> str:
-    """One JSON line per sweep; deterministic fields only, no wall times."""
-    return "".join(json.dumps({
+def _metric_lines(scale: int, stats_list, fine_grain: dict | None = None) -> str:
+    """One JSON line per sweep, after the scale's fine-graining record when
+    given; deterministic fields only, no wall times."""
+    head = ("" if fine_grain is None
+            else json.dumps({"scale": scale, **fine_grain}, sort_keys=True) + "\n")
+    return head + "".join(json.dumps({
         "scale": scale,
         "sweep": st.sweep_index,
         "cost": st.cost,
@@ -385,10 +388,12 @@ def _metric_lines(scale: int, stats_list) -> str:
         "truncated_weight": st.truncated_weight,
         "rollbacks": st.rollbacks,
         "cg_iters": st.cg_iters,
+        "cg_breaks": st.cg_breaks,
     }, sort_keys=True) + "\n" for st in stats_list)
 
 
-def _replace_scale_metrics(path: Path, scale: int, stats_list) -> None:
+def _replace_scale_metrics(path: Path, scale: int, stats_list,
+                           fine_grain: dict | None = None) -> None:
     """Swap the records of ``scale`` in ``path`` for new ones and keep every
     other scale's; the file is replaced whole, so a crash leaves the old one."""
     kept = ""
@@ -399,7 +404,7 @@ def _replace_scale_metrics(path: Path, scale: int, stats_list) -> None:
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: unreadable metrics record ({exc})") from exc
     with atomic_write(path, text=True) as f:
-        f.write(kept + _metric_lines(scale, stats_list))
+        f.write(kept + _metric_lines(scale, stats_list, fine_grain))
 
 
 def _model_path(cfg: PipelineConfig, scale: int, init: bool = False) -> Path:
@@ -480,13 +485,18 @@ def cmd_pipeline(cfg: PipelineConfig, args) -> int:
     write_snapshot(cfg)
     train_cache, test_cache = ensure_cache(cfg)
     summary = []
-    w = None
+    w = fine_grain = None
     for scale in range(cfg.n_d4_layers, cfg.fine_grain_to - 1, -1):
+        data = train_cache.scales[scale]
         if w is not None:
-            w, _ = _fine_grain(cfg, w, scale)
-        w, stats = train(train_cache.scales[scale], cfg.train_config(scale), w0=w,
-                         task=cfg.task)
-        _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats)
+            # the coarse scale's final cost against the fine weights' train
+            # cost, both with the coarse ridge term: equal when no truncation
+            w, err = _fine_grain(cfg, w, scale)
+            fine_grain = {"finegrain_from": scale + 1, "truncated_weight": err,
+                          "cost_before": stats[-1].cost,
+                          "cost_after": cost(w, data, cfg.train_config(scale + 1).lam)}
+        w, stats = train(data, cfg.train_config(scale), w0=w, task=cfg.task)
+        _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats, fine_grain)
         save_mps(_model_path(cfg, scale), w)
         report = _eval_report(cfg, w, scale, train_cache, test_cache)
         report["final_cost"] = stats[-1].cost

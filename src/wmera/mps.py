@@ -5,9 +5,10 @@ bonds have extent 1. ``MPS`` values are immutable by convention: every
 operation returns a new state and never mutates core arrays in place, so
 unchanged cores may be shared between instances. Gauge moves, two-site
 merges and truncated SVD splits run batched on an :class:`MPSStack`;
-:func:`canonicalize`, :func:`merge_bond` and :func:`split_bond` run them on
-a single state as a stack of one that views its cores. State records, of
-model files and cache scale files alike, are written in one place,
+:func:`canonicalize` runs them on a single state as a stack of one that
+views its cores, and :func:`merge_bond` and :func:`split_bond` contract and
+split one chain's two cores directly, with the same rank rule. State
+records, of model files and cache scale files alike, are written in one place,
 :func:`write_mps_records`, and parsed in one place, :func:`read_mps_records`,
 both straight from and into a stack; no other module knows their layout.
 """
@@ -263,17 +264,31 @@ def svd_split(mats: np.ndarray, delta: float = 0.0, chi_max: int | None = None,
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge on a stack of {len(mats)} "
                            f"{mats.shape[1]}x{mats.shape[2]} matrices") from exc
-    keep = np.count_nonzero(s >= delta, axis=1)
+    keep = (s >= delta).sum(axis=1)
+    cap = s.shape[1] if size is None else size
     if chi_max is not None:
-        keep = np.minimum(keep, chi_max)
-    keep = np.maximum(np.minimum(keep, s.shape[1] if size is None else size), 1)
-    with np.errstate(over="ignore"):
-        err = np.sum(np.where(np.arange(s.shape[1]) >= keep[:, None], s, 0.0) ** 2, axis=1)
+        cap = np.minimum(cap, chi_max)
+    keep = np.maximum(np.minimum(keep, cap), 1)
+    k = int(keep.max())
+    # singular values are sorted, so matrix i discards s[i, keep[i]:]
+    if k == keep.min():
+        tail = s[:, k:]
+    else:
+        tail = np.where(np.arange(s.shape[1]) >= keep[:, None], s, 0.0)
+    err = np.einsum("ij,ij->i", tail, tail)  # sets no overflow flag; inf is caught below
     if not np.isfinite(err).all():
         raise NumericError(f"truncation error out of floating-point range: largest "
                            f"singular value {s[:, 0].max():.3g}")
-    k = keep.max()
     return u[:, :, :k], s[:, :k], vh[:, :k], keep, err
+
+
+def _absorb(u: np.ndarray, s: np.ndarray, vh: np.ndarray,
+            right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked SVD factors with the singular values absorbed into ``vh``
+    (``right``) or into ``u``."""
+    if right:
+        return u, s[:, :, None] * vh
+    return u * s[:, None, :], vh
 
 
 def _split(st: MPSStack, j: int, block: np.ndarray, delta: float,
@@ -287,10 +302,7 @@ def _split(st: MPSStack, j: int, block: np.ndarray, delta: float,
     n, bl, d, d2, br = block.shape
     size = np.minimum(d * st.bonds[:, j], d2 * st.bonds[:, j + 2])
     u, s, vh, keep, err = svd_split(block.reshape(n, bl * d, d2 * br), delta, chi_max, size)
-    if new_center == j + 1:
-        vh = s[:, :, None] * vh
-    else:
-        u = u * s[:, None, :]
+    u, vh = _absorb(u, s, vh, new_center == j + 1)
     st.cores[j] = u.reshape(n, bl, d, -1)
     st.cores[j + 1] = vh.reshape(n, -1, d2, br)
     st.bonds[:, j + 1] = keep
@@ -312,6 +324,8 @@ def canonicalize(m: MPS, center: int) -> MPS:
     """
     if not 0 <= center < len(m):
         raise ArgumentError(f"center {center} out of range for {len(m)} sites")
+    if m.ortho_center == center:
+        return m
     st = MPSStack([c[None] for c in m.cores], np.array([m.bond_dims]), m.ortho_center)
     _canonicalize(st, center)
     return MPS._from_valid([c[0] for c in st.cores], center)  # one chain: no padding
@@ -328,7 +342,9 @@ def merge_bond(m: MPS, j: int) -> np.ndarray:
     if m.ortho_center not in (j, j + 1):
         raise StateError(f"merge_bond at {j} needs the orthogonality center at "
                          f"{j} or {j + 1}, found {m.ortho_center}")
-    return _merge(m.cores[j][None], m.cores[j + 1][None])[0]
+    a, b = m.cores[j], m.cores[j + 1]
+    block = a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)
+    return block.reshape(a.shape[:2] + b.shape[1:])
 
 
 def split_bond(m: MPS, j: int, block: np.ndarray, delta: float, chi_max: int | None,
@@ -346,11 +362,12 @@ def split_bond(m: MPS, j: int, block: np.ndarray, delta: float, chi_max: int | N
     a, b = m.cores[j], m.cores[j + 1]
     if block.shape != a.shape[:2] + b.shape[1:]:
         raise DimensionError("bond tensor shape does not match the target sites")
-    # the split reads and writes cores j and j + 1 only: stack just those two
-    st = MPSStack([a[None], b[None]], np.array([[a.shape[0], a.shape[2], b.shape[2]]]))
-    err = _split(st, 0, block[None], delta, chi_max, new_center - j)
+    # one chain has no padding to trim: split the block as a stack of one
+    bl, d, d2, br = block.shape
+    u, s, vh, _, err = svd_split(block.reshape(1, bl * d, d2 * br), delta, chi_max)
+    u, vh = _absorb(u, s, vh, new_center == j + 1)
     cores = list(m.cores)
-    cores[j], cores[j + 1] = st.cores[0][0], st.cores[1][0]
+    cores[j], cores[j + 1] = u[0].reshape(bl, d, -1), vh[0].reshape(-1, d2, br)
     return MPS._from_valid(cores, new_center), float(err[0])
 
 

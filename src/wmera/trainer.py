@@ -11,14 +11,26 @@ re-splits with a truncated SVD, absorbing the singular values toward the
 next bond. Environment stacks keep one full sweep linear in the chain
 length.
 
+The solve runs in sample space when a bond's n samples have at most half as
+many coordinates (n + 1) as the block has entries D: every CG iterate is
+x0 + Phi^T a plus a multiple of x0, so the same iteration runs on those n + 1
+coordinates with the Gram matrix of (x0, rows of Phi) as its metric, the dual
+form of ridge regression, at O(n^2) per step instead of O(n D). Where that
+metric can no longer resolve the residual (nearly dependent samples), the
+block finishes the solve. Where every sample's bond between the window's two
+sites is 1, as on product states, the window is never formed: each row is
+the Kronecker product of a left and a right factor (:class:`ProductWindow`),
+and its Gram matrix is the elementwise product of the factors' Gram matrices.
+
 Every contraction with the data is batched over samples on the scale's
-zero-padded ``ScaleData.stack``: each environment step, window matrix and
-output pass is one chain of batched matmuls, exact because padding is zero.
-No work runs on worker threads.
+zero-padded ``ScaleData.stack``: each environment step, window and output
+pass is one chain of batched matmuls, exact because padding is zero. No work
+runs on worker threads.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -72,7 +84,8 @@ class SweepStats:
     """Telemetry for one pass (or one full sweep, when emitted by train).
 
     ``rollbacks`` counts bond updates that re-split the original block after
-    truncation raised the window cost; ``cg_iters`` sums their CG steps.
+    truncation raised the window cost; ``cg_iters`` sums their CG steps and
+    ``cg_breaks`` counts the solves a curvature break ended.
     """
 
     sweep_index: int
@@ -83,6 +96,7 @@ class SweepStats:
     truncated_weight: float = 0.0
     rollbacks: int = 0
     cg_iters: int = 0
+    cg_breaks: int = 0
 
 
 @dataclass
@@ -136,6 +150,12 @@ class Environment:
         """Update right[j] after core j changed during a leftward pass."""
         self.right[j] = _extend_right(w.cores[j], self.stack.cores[j], self.right[j + 1])
 
+    def _ends(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        lm, rm = self.left[j], self.right[j + 2]
+        if lm is None or rm is None:
+            raise StateError(f"environment stacks not built for bond {j}")
+        return lm, rm
+
     def window_matrix(self, j: int) -> np.ndarray:
         """Every sample's projection into the (j, j+1) window, one row each.
 
@@ -143,15 +163,55 @@ class Environment:
         same order as the ``merge_bond`` block's ravel(), so
         ``rows @ block.ravel()`` are the model outputs.
         """
-        lm = self.left[j]
-        rm = self.right[j + 2]
-        if lm is None or rm is None:
-            raise StateError(f"environment stacks not built for bond {j}")
+        lm, rm = self._ends(j)
         xj, xj1 = self.stack.cores[j], self.stack.cores[j + 1]
         n = len(lm)
         t = lm @ xj.reshape(n, xj.shape[1], -1)
         t = t.reshape(n, -1, xj.shape[3]) @ xj1.reshape(n, xj1.shape[1], -1)
         return (t.reshape(n, -1, rm.shape[2]) @ rm.transpose(0, 2, 1)).reshape(n, -1)
+
+    def window(self, j: int):
+        """The window of bond ``j`` as the local solve takes it.
+
+        Where every sample's bond between sites j and j + 1 is 1 and the
+        solve runs in sample space, this is a :class:`ProductWindow` and the
+        window matrix is never formed; otherwise it is ``window_matrix(j)``.
+        """
+        lm, rm = self._ends(j)
+        xj, xj1 = self.stack.cores[j], self.stack.cores[j + 1]
+        n, size = len(lm), lm.shape[1] * xj.shape[2] * xj1.shape[2] * rm.shape[1]
+        if xj.shape[3] > 1 or not _sample_basis(n, size):
+            return self.window_matrix(j)
+        left = lm @ xj.reshape(n, xj.shape[1], -1)
+        right = xj1.reshape(n, -1, xj1.shape[3]) @ rm.transpose(0, 2, 1)
+        return ProductWindow(left.reshape(n, -1), right.reshape(n, -1))
+
+
+class ProductWindow:
+    """The window matrix of a bond where every sample's bond between its
+    two sites is 1, kept as two factors.
+
+    Row s is the Kronecker product of ``left[s]`` (left weight bond, site j)
+    and ``right[s]`` (site j + 1, right weight bond), a face-splitting
+    product, so Phi v, a^T Phi and Phi Phi^T = (L L^T) * (R R^T) are small
+    matmuls. ``window @ vec`` and ``a @ window`` act as they would on the
+    explicit matrix.
+    """
+
+    __array_ufunc__ = None  # NumPy defers ``a @ window`` to __rmatmul__
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left, self.right = left, right
+        self.shape = (len(left), left.shape[1] * right.shape[1])
+
+    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
+        return np.vecdot(self.left.dot(vec.reshape(self.left.shape[1], -1)), self.right)
+
+    def __rmatmul__(self, a: np.ndarray) -> np.ndarray:
+        return (self.left.T * a).dot(self.right).ravel()
+
+    def gram(self) -> np.ndarray:
+        return self.left.dot(self.left.T) * self.right.dot(self.right.T)
 
 
 def _data_stack(w: MPS, data: ScaleData) -> MPSStack:
@@ -198,12 +258,17 @@ def cost(w: MPS, data: ScaleData, lam: float = 0.0) -> float:
     return value
 
 
-def _window_cost(phi: np.ndarray, vec: np.ndarray, y: np.ndarray, lam: float) -> float:
-    resid = phi @ vec - y
+def _outputs_cost(out: np.ndarray, vec: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """The window cost of ``vec`` from its outputs ``out = Phi vec``."""
+    resid = out - y
     value = 0.5 * float(resid @ resid) / len(y)
     if lam:
         value += lam * float(vec @ vec)
     return value
+
+
+def _window_cost(phi, vec: np.ndarray, y: np.ndarray, lam: float) -> float:
+    return _outputs_cost(phi @ vec, vec, y, lam)
 
 
 def local_gradient(env: Environment, j: int, block: np.ndarray,
@@ -222,75 +287,169 @@ def local_gradient(env: Environment, j: int, block: np.ndarray,
     return grad.reshape(block.shape)
 
 
-def _cg_normal(phi: np.ndarray, y: np.ndarray, x0: np.ndarray, lam: float,
-               max_iters: int, tol: float) -> tuple[np.ndarray, int]:
-    """Conjugate gradient on (Phi^T Phi / n + 2 lam I) x = Phi^T y / n.
+def _sample_basis(n: int, size: int) -> bool:
+    """Whether a bond of ``n`` samples and a block of ``size`` entries is
+    solved in sample space: its n + 1 coordinates are at most half the block."""
+    return 2 * (n + 1) <= size
 
-    The iterate monotonically decreases the quadratic objective, so the
-    window cost never rises above its value at x0. Returns the iterate and
-    the number of steps taken.
+
+# Rounding in r . (M r) is about eps * tr(M) * |r|^2 in coordinates: sample-space
+# steps stop once a residual norm is within six digits of that floor, and the
+# block finishes the solve.
+_RESOLVED = 1e6 * np.finfo(np.float64).eps
+
+
+def _cg(op, metric: np.ndarray | None, r: np.ndarray, rr_stop: float, anorm: float,
+        max_iters: int) -> tuple[np.ndarray, int, str]:
+    """Conjugate gradient from residual ``r`` in the inner product a . (M b).
+
+    ``op(p)`` returns K p and the curvature p . (M K p) for the operator K,
+    self-adjoint in that inner product; ``metric`` is M, or None for the
+    identity. Every residual norm is r . (M r) of the current residual, never
+    a recurrence. Returns the step to add to the starting point, the steps
+    taken and why the loop ended: "tol", "cap", "break" (curvature) or
+    "floor" (a residual norm near the rounding floor of the metric, see
+    ``_RESOLVED``). ``r`` is updated in place.
     """
-    n = len(y)
-
-    def matvec(v):
-        out = phi.T @ (phi @ v) / n
-        if lam:
-            out += 2.0 * lam * v
-        return out
-
-    rhs = phi.T @ y / n
-    anorm = float(np.sum(phi * phi)) / n + 2.0 * lam
-    x = x0.copy()
-    r = rhs - matvec(x)
-    stop = tol * max(float(np.linalg.norm(rhs)), np.finfo(np.float64).tiny)
-    rr = float(r @ r)
-    if rr ** 0.5 <= stop:
-        return x, 0
-    p = r.copy()
-    steps = 0
-    for _ in range(max_iters):
-        ap = matvec(p)
-        pap = float(p @ ap)
-        if not np.isfinite(pap):
+    if metric is None:
+        mr, floor = r, 0.0
+    else:
+        mr, floor = metric.dot(r), _RESOLVED * float(np.trace(metric))
+    rr = float(r.dot(mr))
+    if not math.isfinite(rr):
+        raise NumericError("conjugate gradient started from non-finite values; "
+                           "check the labels and sample norms")
+    dx = np.zeros_like(r)
+    if floor and rr <= floor * float(r.dot(r)):
+        return dx, 0, "floor"
+    if rr <= rr_stop:
+        return dx, 0, "tol"
+    p, pp = r.copy(), rr
+    for steps in range(max_iters):
+        kp, pap = op(p)
+        if not (math.isfinite(pap) and math.isfinite(pp)):
             raise NumericError("conjugate gradient produced non-finite values; "
                                "try a larger lam or smaller chi_max")
-        if pap <= 1e-14 * anorm * float(p @ p):
+        if pap <= 1e-14 * anorm * pp:
             # curvature along p is zero up to roundoff (rank-deficient
             # window): stepping further only amplifies null-space noise
-            break
+            return dx, steps, "break"
         alpha = rr / pap
-        x += alpha * p
-        r -= alpha * ap
-        steps += 1
-        rr_new = float(r @ r)
-        if not np.isfinite(rr_new):
+        dx += alpha * p
+        r -= alpha * kp
+        mr = r if metric is None else metric.dot(r)
+        rr_new = float(r.dot(mr))
+        if not math.isfinite(rr_new):
             raise NumericError("conjugate gradient diverged; "
                                "try a larger lam or smaller chi_max")
-        if rr_new ** 0.5 <= stop:
-            break
-        p = r + (rr_new / rr) * p
+        if floor and rr_new <= floor * float(r.dot(r)):
+            return dx, steps + 1, "floor"
+        if rr_new <= rr_stop:
+            return dx, steps + 1, "tol"
+        beta = rr_new / rr
+        p = r + beta * p
+        pp = rr_new + beta * beta * pp  # p . (M p), as p is M-orthogonal to the new residual
         rr = rr_new
-    return x, steps
+    return dx, max_iters, "cap"
 
 
-def solve_local(phi: np.ndarray, y: np.ndarray, vec0: np.ndarray, lam: float = 0.0,
+def _cg_normal(phi, y: np.ndarray, x0: np.ndarray, out0: np.ndarray, lam: float,
+               max_iters: int, tol: float) -> tuple[np.ndarray, int, bool]:
+    """Conjugate gradient on (Phi^T Phi / n + 2 lam I) x = Phi^T y / n from
+    ``x0``, whose outputs Phi x0 are ``out0``.
+
+    Every iterate lies in x0 + span(rows of Phi). When the n + 1 coordinates
+    z = (c, a) of v = c x0 + Phi^T a are at most half the block
+    (:func:`_sample_basis`), the iteration runs on z: the operator is
+    K = [[mu, 0], [u / n, G / n + mu I]] and the metric is the Gram matrix
+    of (x0, rows of Phi), with G = Phi Phi^T, u = Phi x0 and mu = 2 lam, so
+    a step costs O(n^2) instead of O(n D). Otherwise it runs on the block
+    (K = Phi^T Phi / n + mu I, metric I), and so do the steps left once the
+    metric no longer resolves the residual, as with nearly dependent
+    samples. Both are one loop, :func:`_cg`, so they take the same steps up
+    to roundoff. ``phi`` is a window matrix, or a :class:`ProductWindow` where
+    the sample-space rule holds.
+
+    The iterate monotonically decreases the quadratic objective, so the
+    window cost never rises above its value at x0. Returns the iterate, the
+    steps taken and whether a curvature break ended the solve.
+    """
+    n = len(y)
+    mu = 2.0 * lam
+
+    def op(p):
+        ap = (phi @ p) @ phi / n
+        if mu:
+            ap += mu * p
+        return ap, float(p.dot(ap))
+
+    rhs = y @ phi / n
+    stop = tol * max(float(rhs.dot(rhs)) ** 0.5, np.finfo(np.float64).tiny)
+    if not math.isfinite(stop):
+        raise NumericError("the local solve's right-hand side left the float64 range; "
+                           "labels or sample norms are too large")
+    r = rhs - out0 @ phi / n
+    if mu:
+        r -= mu * x0
+    if float(r.dot(r)) <= stop * stop:
+        return x0, 0, False
+    v, steps = x0, 0
+    if _sample_basis(n, x0.size):
+        gram = phi.gram() if isinstance(phi, ProductWindow) else phi.dot(phi.T)
+        n1 = n + 1
+        metric = np.empty((n1, n1))
+        metric[0, 0] = x0.dot(x0)
+        metric[0, 1:] = metric[1:, 0] = out0
+        metric[1:, 1:] = gram
+        k = metric / n
+        k[0] = 0.0
+        k.flat[::n1 + 1] += mu
+        rz = -k[:, 0]  # residual at z = (1, 0): (0, y / n) - K (1, 0)
+        rz[1:] += y / n
+        if not np.isfinite(metric).all():
+            raise NumericError("non-finite window or outputs in the local solve; "
+                               "check the sample norms")
+        km = np.concatenate((k, metric))
+        anorm = float(np.trace(gram)) / n + mu
+
+        def op_z(p):
+            # p . (M K p) as |Phi p|^2 / n + mu |p|^2, where (M p)[1:] = Phi p:
+            # a sum of squares keeps digits that the product with M K loses
+            t = km.dot(p)
+            out = t[n1 + 1:]
+            return t[:n1], float(out.dot(out)) / n + mu * float(p.dot(t[n1:]))
+
+        dz, steps, ended = _cg(op_z, metric, rz, stop * stop, anorm, max_iters)
+        v = (1.0 + dz[0]) * x0 + dz[1:] @ phi
+        if ended != "floor":
+            return v, steps, ended == "break"
+        r = rhs - op(v)[0]
+    else:
+        anorm = float(np.vdot(phi, phi)) / n + mu
+    dv, more, ended = _cg(op, None, r, stop * stop, anorm, max_iters - steps)
+    return v + dv, steps + more, ended == "break"
+
+
+def solve_local(phi, y: np.ndarray, vec0: np.ndarray, lam: float = 0.0,
                 cg_max_iters: int = 20, cg_tol: float = 1e-10,
-                ) -> tuple[np.ndarray, float, float, int]:
+                ) -> tuple[np.ndarray, float, float, int, bool]:
     """Minimize the window cost over the merged block, starting from ``vec0``.
 
-    ``phi`` is the window matrix of the bond and ``vec0`` the flattened
-    block. Returns the solved block, the window cost before and after, and
-    the CG steps taken; never returns a block with higher window cost than
-    ``vec0``.
+    ``phi`` is the window of the bond (a matrix, or a :class:`ProductWindow`
+    where the sample-space rule holds) and ``vec0`` the flattened block.
+    Returns the solved block, the window cost before and after, the CG steps
+    taken and whether a curvature break ended them; never returns a block
+    with higher window cost than ``vec0``.
     """
     if phi.shape[1] != vec0.size:
         raise StateError("environment stacks out of step with the weights")
-    c_before = _window_cost(phi, vec0, y, lam)
-    vec, steps = _cg_normal(phi, y, vec0, lam, cg_max_iters, cg_tol)
+    out0 = phi @ vec0
+    c_before = _outputs_cost(out0, vec0, y, lam)
+    vec, steps, broke = _cg_normal(phi, y, vec0, out0, lam, cg_max_iters, cg_tol)
     c_solved = _window_cost(phi, vec, y, lam)
-    if c_solved > c_before:
-        return vec0, c_before, c_before, steps  # roundoff ascent: keep the starting block
-    return vec, c_before, c_solved, steps
+    if c_solved > c_before:  # roundoff ascent: keep the starting block
+        return vec0, c_before, c_before, steps, broke
+    return vec, c_before, c_solved, steps, broke
 
 
 def _metric_from_outputs(f: np.ndarray, y: np.ndarray, task: str) -> float:
@@ -327,19 +486,20 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
             env.refresh_left(w)
     y = data.labels
     lam = cfg.lam
+    y_scale = float(y.dot(y)) / len(y)
     trunc_total = 0.0
-    rollbacks = cg_iters = 0
+    rollbacks = cg_iters = cg_breaks = 0
     final_cost = np.nan
-    final_resid = None
     bonds = range(n_sites - 1) if direction == "lr" else range(n_sites - 2, -1, -1)
     for j in bonds:
         block = merge_bond(w, j)
-        phi = env.window_matrix(j)
-        vec, c_before, c_solved, steps = solve_local(phi, y, block.ravel(), lam,
-                                                     cfg.cg_max_iters, cfg.cg_tol)
+        phi = env.window(j)
+        vec, c_before, c_solved, steps, broke = solve_local(phi, y, block.ravel(), lam,
+                                                            cfg.cg_max_iters, cfg.cg_tol)
         cg_iters += steps
+        cg_breaks += broke
         new_center = j + 1 if direction == "lr" else j
-        slack = 1e-12 * (c_before + float(y @ y) / len(y))
+        slack = 1e-12 * (c_before + y_scale)
         w_new, err = split_bond(w, j, vec.reshape(block.shape), cfg.delta_weights,
                                 cfg.chi_max, new_center)
         merged = merge_bond(w_new, j).ravel()
@@ -361,16 +521,16 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
         else:
             env.advance_right(w, j + 1)
         final_cost = c_trunc
-        final_resid = phi @ merged - y
     stats = SweepStats(
         sweep_index=0,
         cost=final_cost,
         max_bond=w.max_bond,
-        train_metric=_metric_from_outputs(final_resid + y, y, task),
+        train_metric=_metric_from_outputs(phi @ merged, y, task),
         wall_time=time.perf_counter() - t0,
         truncated_weight=trunc_total,
         rollbacks=rollbacks,
         cg_iters=cg_iters,
+        cg_breaks=cg_breaks,
     )
     return w, stats
 
@@ -418,6 +578,7 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
                 truncated_weight=forth.truncated_weight + back.truncated_weight,
                 rollbacks=forth.rollbacks + back.rollbacks,
                 cg_iters=forth.cg_iters + back.cg_iters,
+                cg_breaks=forth.cg_breaks + back.cg_breaks,
             ))
     return w, stats
 

@@ -640,7 +640,7 @@ class TestTrainEvalFinegrain:
         record = json.loads(lines[0])
         assert record["scale"] == 1 and record["sweep"] == 0
         assert set(record) == {"scale", "sweep", "cost", "max_bond", "train_metric",
-                               "truncated_weight", "rollbacks", "cg_iters"}
+                               "truncated_weight", "rollbacks", "cg_iters", "cg_breaks"}
 
         assert run_cli("eval", "--config", cfg_path) == 0
         report = json.loads((out / "eval_scale1.json").read_text())

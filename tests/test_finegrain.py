@@ -152,9 +152,11 @@ class TestMultiscaleSchedule:
                             + extra_config)
         return run_cli("pipeline", "--config", cfg_path), tmp_path / "out"
 
+    def records(self, out):
+        return [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+
     def metrics(self, out):
-        lines = (out / "metrics.jsonl").read_text().splitlines()
-        return [(r["scale"], r["sweep"]) for r in map(json.loads, lines)]
+        return [(r["scale"], r["sweep"]) for r in self.records(out) if "sweep" in r]
 
     def test_stats_cover_every_visited_scale(self, tmp_path, capsys):
         rc, out = self.run_pipeline(tmp_path, "fine_grain_to = 0\nn_sweeps@0 = 1\n")
@@ -166,6 +168,27 @@ class TestMultiscaleSchedule:
         for entry in summary["scales"]:
             assert entry["model_file"] == f"model_scale{entry['scale']}.mps"
             assert len(load_mps(out / entry["model_file"])) == 8 >> entry["scale"]
+
+    def test_fine_graining_is_recorded_before_each_finer_scale(self, tmp_path, capsys):
+        """Each fine-grained scale opens with one record of the truncated
+        weight and the train cost just before and just after fine-graining.
+        Without data or weight truncation the layer preserves every output
+        and the weight norm, so the two costs agree."""
+        exact = "chi_data = 64\ndelta_data = 0\nchi_max = 64\ndelta_weights = 0\n"
+        rc, out = self.run_pipeline(tmp_path, "fine_grain_to = 0\nlambda = 0.01\n" + exact)
+        assert rc == 0
+        records = self.records(out)
+        fine = [r for r in records if "sweep" not in r]
+        assert [(r["scale"], r["finegrain_from"]) for r in fine] == [(1, 2), (0, 1)]
+        for r in fine:
+            assert set(r) == {"scale", "finegrain_from", "truncated_weight",
+                              "cost_before", "cost_after"}
+            assert r["truncated_weight"] <= 1e-20
+            assert abs(r["cost_after"] - r["cost_before"]) <= 1e-10 * r["cost_before"]
+            # the record opens its scale, just after the coarser scale's sweeps
+            at = records.index(r)
+            assert records[at - 1]["scale"] == r["finegrain_from"]
+            assert r["cost_before"] == records[at - 1]["cost"]
 
     def test_single_scale_degenerates_to_train(self, tmp_path, capsys):
         rc, out = self.run_pipeline(tmp_path, "fine_grain_to = 2\n")

@@ -1,19 +1,24 @@
 """Two-site alternating least squares: environments, solves, sweeps."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthdata import random_mps, random_product_state
+import wmera.trainer
 from wmera.coarsegrain import ScaleData
-from wmera.errors import ArgumentError, DimensionError, StateError
+from wmera.errors import ArgumentError, DimensionError, NumericError, StateError
 from wmera.mps import MPS, canonicalize, inner, merge_bond, product_state, split_bond
 from wmera.trainer import (
     Environment,
+    ProductWindow,
     TrainConfig,
     cost,
     evaluate,
+    _cg_normal,
     _window_cost,
     local_gradient,
     model_outputs,
@@ -201,7 +206,7 @@ class TestLocalSolve:
     def test_matches_dense_least_squares(self):
         rng = np.random.default_rng(45)
         phi, y, vec0 = self._window(rng)
-        vec, _, c_got, steps = solve_local(phi, y, vec0, cg_max_iters=200, cg_tol=1e-14)
+        vec, _, c_got, steps, _ = solve_local(phi, y, vec0, cg_max_iters=200, cg_tol=1e-14)
         x_ref, *_ = np.linalg.lstsq(phi, y, rcond=None)
         c_ref = 0.5 * np.mean((phi @ x_ref - y) ** 2)
         assert c_got == _window_cost(phi, vec, y, 0.0)
@@ -214,7 +219,7 @@ class TestLocalSolve:
            cg_max_iters=st.integers(1, 30))
     def test_never_worse_than_start(self, seed, n_samples, j, lam, cg_max_iters):
         phi, y, vec0 = self._window(np.random.default_rng(seed), n_samples=n_samples, j=j)
-        vec, before, after, _ = solve_local(phi, y, vec0, lam, cg_max_iters)
+        vec, before, after, _, _ = solve_local(phi, y, vec0, lam, cg_max_iters)
         assert before == _window_cost(phi, vec0, y, lam)
         assert after == _window_cost(phi, vec, y, lam)
         assert after <= before
@@ -222,14 +227,128 @@ class TestLocalSolve:
     def test_optimal_start_is_fixed_point(self):
         rng = np.random.default_rng(47)
         phi, y, vec0 = self._window(rng)
-        first, _, _, _ = solve_local(phi, y, vec0, cg_max_iters=400, cg_tol=1e-14)
-        again, _, _, _ = solve_local(phi, y, first, cg_max_iters=400, cg_tol=1e-14)
+        first, *_ = solve_local(phi, y, vec0, cg_max_iters=400, cg_tol=1e-14)
+        again, *_ = solve_local(phi, y, first, cg_max_iters=400, cg_tol=1e-14)
         np.testing.assert_allclose(again, first, atol=1e-9)
 
     def test_rejects_mismatched_block(self):
         phi, y, vec0 = self._window(np.random.default_rng(48))
         with pytest.raises(StateError):
             solve_local(phi, y, vec0[:-1])
+
+
+def block_basis_solve(phi, y, x0, lam, max_iters, tol):
+    """``_cg_normal`` held on the block, whatever the window's shape."""
+    with mock.patch.object(wmera.trainer, "_sample_basis", lambda n, size: False):
+        return _cg_normal(phi, y, x0, phi @ x0, lam, max_iters, tol)
+
+
+def product_dataset(rng, n_sites, n_samples):
+    """Product states (every bond 1) with labels linear in the raw inputs."""
+    x = rng.uniform(0.0, 1.0, (n_samples, n_sites))
+    samples = [product_state([np.array([1.0, v]) for v in row]) for row in x]
+    return ScaleData(samples, x @ rng.uniform(-1.0, 1.0, n_sites))
+
+
+class TestSampleSpaceSolve:
+    """Bonds with n + 1 <= D / 2 solve in the coordinates of the samples."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), extra=st.integers(0, 40),
+           lam=st.floats(0.0, 1.0), cg_max_iters=st.integers(1, 30))
+    def test_matches_the_block_loop(self, seed, n, extra, lam, cg_max_iters):
+        """On well-conditioned windows (Gaussian rows, D >= 2(n + 1)) the
+        sample-space iterate is the block iterate, to 1e-8 relative."""
+        rng = np.random.default_rng(seed)
+        size = 2 * (n + 1) + extra
+        phi = rng.standard_normal((n, size))
+        y, x0 = rng.standard_normal(n), rng.standard_normal(size)
+        assert wmera.trainer._sample_basis(n, size)
+        got, steps, _ = _cg_normal(phi, y, x0, phi @ x0, lam, cg_max_iters, 1e-10)
+        want, want_steps, _ = block_basis_solve(phi, y, x0, lam, cg_max_iters, 1e-10)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        assert abs(steps - want_steps) <= 1
+
+    def test_nearly_dependent_samples_finish_on_the_block(self):
+        """Shifted copies of one smooth window, from a start close to the ridge
+        optimum: the Gram metric cannot resolve so small a residual, so the
+        block finishes the solve and reaches the optimum to the tolerance."""
+        rng = np.random.default_rng(70)
+        t = np.linspace(0.0, 1.0, 128)
+        phi = np.array([np.sin(2.0 * np.pi * (t + 0.01 * k)) + 0.5 for k in range(9)])
+        y, lam = rng.standard_normal(9), 1e-4
+        a = phi.T @ phi / 9 + 2.0 * lam * np.eye(128)
+        best = np.linalg.solve(a, phi.T @ y / 9)
+        x0 = best + 1e-6 * rng.standard_normal(128)
+        got, steps, broke = _cg_normal(phi, y, x0, phi @ x0, lam, 20, 1e-10)
+        excess = [_window_cost(phi, v, y, lam) - _window_cost(phi, best, y, lam)
+                  for v in (x0, got)]
+        assert steps < 20 and not broke
+        assert excess[1] <= 1e-3 * excess[0]
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_sites=st.integers(2, 6),
+           n_samples=st.integers(1, 6), bond=st.integers(3, 6))
+    def test_product_window_matches_window_matrix(self, seed, n_sites, n_samples, bond):
+        """Phi v, a^T Phi and Phi Phi^T from the factors match the explicit
+        window matrix to 1e-12 of the same products over absolute values."""
+        rng = np.random.default_rng(seed)
+        data = product_dataset(rng, n_sites, n_samples)
+        data_abs = ScaleData([absolute(x) for x in data.samples], data.labels)
+        w = random_mps(n_sites, bond, rng)
+        env, env_abs = Environment(w, data), Environment(absolute(w), data_abs)
+        for e, m in ((env, w), (env_abs, absolute(w))):
+            e.refresh_left(m)
+            e.refresh_right(m)
+        for j in range(n_sites - 1):
+            window = env.window(j)
+            phi, bound = env.window_matrix(j), env_abs.window_matrix(j)
+            if not isinstance(window, ProductWindow):
+                assert not wmera.trainer._sample_basis(*phi.shape)
+                continue
+            v, a = rng.standard_normal(phi.shape[1]), rng.standard_normal(phi.shape[0])
+            assert np.all(np.abs(window @ v - phi @ v) <= 1e-12 * (bound @ np.abs(v)))
+            assert np.all(np.abs(a @ window - a @ phi) <= 1e-12 * (np.abs(a) @ bound))
+            assert np.all(np.abs(window.gram() - phi @ phi.T) <= 1e-12 * (bound @ bound.T))
+
+    def test_product_states_get_factored_windows(self):
+        """Where the middle bond is 1 for every sample and n + 1 <= D / 2 the
+        window is factored; a coarse-grained stack keeps the explicit matrix."""
+        rng = np.random.default_rng(71)
+        w = canonicalize(random_mps(6, 4, rng), 0)
+        for data, factored in ((product_dataset(rng, 6, 5), True),
+                               (ScaleData([random_mps(6, 2, rng) for _ in range(5)],
+                                          rng.standard_normal(5)), False)):
+            env = Environment(w, data)
+            env.refresh_right(w)
+            assert isinstance(env.window(0), ProductWindow) == factored
+
+    @pytest.mark.parametrize("n_samples", [4, 40])
+    def test_inf_in_an_environment_is_numeric_error(self, n_samples):
+        """An inf in an environment ends the solve with NumericError, in
+        sample space (4 samples) and on the block (40 samples) alike."""
+        rng = np.random.default_rng(72)
+        data = product_dataset(rng, 5, n_samples)
+        cfg = TrainConfig(init_bond=4, seed=3)
+        w = canonicalize(random_weights(5, cfg), 0)
+        env = Environment(w, data)
+        env.refresh_right(w)
+        assert isinstance(env.window(0), ProductWindow) == (n_samples == 4)
+        env.right[2][1, 0, 0] = np.inf
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+            sweep(w, data, cfg, "lr", env=env)
+
+    @pytest.mark.parametrize("n_distinct", [3, 20])
+    def test_duplicate_samples_at_zero_lam_report_breaks(self, n_distinct):
+        """Duplicated samples at lam = 0 leave the window rank-deficient, so
+        with no tolerance CG runs out of curvature, on either basis."""
+        rng = np.random.default_rng(73)
+        once = product_dataset(rng, 5, n_distinct)
+        data = ScaleData(once.samples * 2, np.concatenate([once.labels, -once.labels]))
+        cfg = TrainConfig(n_sweeps=1, init_bond=4, chi_max=4, lam=0.0, cg_tol=0.0,
+                          cg_max_iters=200, seed=4)
+        _, stats = train(data, cfg)
+        assert stats[0].cg_breaks > 0
 
 
 class TestSweep:
@@ -350,6 +469,29 @@ class TestTrain:
             assert (sa.rollbacks, sa.cg_iters) == (sb.rollbacks, sb.cg_iters)
         for ca, cb in zip(w_a.cores, w_b.cores):
             np.testing.assert_array_equal(ca, cb)
+
+    @pytest.mark.parametrize("n_samples", [5, 60])
+    def test_one_solve_per_bond_update(self, n_samples):
+        """``train`` calls ``_cg_normal`` exactly once per bond update,
+        n_sweeps * 2 * (N - 1) times, and ``split_bond`` at least as often,
+        on either basis; the benchmark counts bond updates and splits there."""
+        calls = {"_cg_normal": 0, "split_bond": 0}
+
+        def counted(name):
+            fn = getattr(wmera.trainer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        data = linear_dataset(np.random.default_rng(62), 6, n_samples)
+        cfg = TrainConfig(n_sweeps=2, chi_max=4, init_bond=4, seed=2)
+        with mock.patch.multiple(wmera.trainer, _cg_normal=counted("_cg_normal"),
+                                 split_bond=counted("split_bond")):
+            train(data, cfg)
+        assert calls["_cg_normal"] == cfg.n_sweeps * 2 * (6 - 1)
+        assert calls["split_bond"] >= calls["_cg_normal"]
 
     def test_single_sample_fits_exactly(self):
         rng = np.random.default_rng(57)
