@@ -23,11 +23,10 @@ from .coarsegrain import (
     ScaleCache,
     ScaleData,
     coarse_grain_dataset,
-    coarse_grain_sample,
+    fine_grain_weights,
     single_particle_response,
 )
 from .trainer import TrainConfig, SweepStats, cost, evaluate, train
-from .finegrain import fine_grain_weights
 
 __all__ = [
     "ArgumentError",
@@ -51,7 +50,6 @@ __all__ = [
     "ScaleCache",
     "ScaleData",
     "coarse_grain_dataset",
-    "coarse_grain_sample",
     "single_particle_response",
     "TrainConfig",
     "SweepStats",

@@ -24,13 +24,13 @@ from .coarsegrain import (
     LAYER_REVISION,
     ScaleCache,
     coarse_grain_dataset,
+    fine_grain_weights,
     load_cache,
     read_cache_manifest,
     save_cache,
 )
 from .errors import (ArgumentError, DataError, DimensionError, FormatError, StateError,
                      WmeraError)
-from .finegrain import fine_grain_weights
 from .ingest import (
     apply_scaler,
     encode_samples,
@@ -412,6 +412,15 @@ def _model_path(cfg: PipelineConfig, scale: int, init: bool = False) -> Path:
     return cfg.output / f"model_scale{scale}{suffix}"
 
 
+def _scale(cfg: PipelineConfig, args) -> int:
+    """The --scale of train, finegrain and eval, the coarsest by default;
+    one the cache has no scale for is an ArgumentError."""
+    scale = cfg.n_d4_layers if args.scale is None else args.scale
+    if not 0 <= scale <= cfg.n_d4_layers:
+        raise ArgumentError(f"scale {scale} not in cache (0..{cfg.n_d4_layers})")
+    return scale
+
+
 def _fine_grain(cfg: PipelineConfig, w: MPS, scale: int) -> tuple[MPS, float]:
     """Project weights one scale finer, onto ``scale``, truncating with that
     scale's training settings; returns the weights and the truncated weight."""
@@ -431,10 +440,8 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
     write_snapshot(cfg)
+    scale = _scale(cfg, args)
     train_cache, _ = load_built_caches(cfg, compute_fingerprint(cfg))
-    scale = cfg.n_d4_layers if args.scale is None else args.scale
-    if not 0 <= scale < train_cache.n_scales:
-        raise ArgumentError(f"scale {scale} not in cache (0..{train_cache.n_scales - 1})")
     w0 = None
     if args.init is not None:
         w0 = load_mps(args.init)
@@ -448,7 +455,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
 def cmd_finegrain(cfg: PipelineConfig, args) -> int:
     write_snapshot(cfg)
-    scale = cfg.n_d4_layers if args.scale is None else args.scale
+    scale = _scale(cfg, args)
     if scale < 1:
         raise ArgumentError("finegrain needs --scale >= 1")
     fine, err = _fine_grain(cfg, load_mps(_model_path(cfg, scale)), scale - 1)
@@ -460,8 +467,8 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     write_snapshot(cfg)
+    scale = _scale(cfg, args)
     train_cache, test_cache = load_built_caches(cfg, compute_fingerprint(cfg))
-    scale = cfg.n_d4_layers if args.scale is None else args.scale
     w = load_mps(_model_path(cfg, scale))
     report = _eval_report(cfg, w, scale, train_cache, test_cache)
     with atomic_write(cfg.output / f"eval_scale{scale}.json", text=True) as f:

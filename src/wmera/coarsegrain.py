@@ -1,5 +1,6 @@
-"""Coarse-graining layers applied to many MPS-encoded samples at once, plus
-the on-disk cache of every sample at every scale.
+"""Coarse-graining layers applied to many MPS-encoded samples at once, their
+transpose applied to trained weights, and the on-disk cache of every sample
+at every scale.
 
 Samples go through a layer as an :class:`~wmera.mps.MPSStack`, one
 zero-padded array of shape (n, left bond, 2, right bond) per site, and every
@@ -19,9 +20,11 @@ keeps only the R factor of each of its left parts, and one right-to-left
 pass of one-site SVDs against those R factors cuts every bond of the
 coarse chain to its minimal rank. Every layer's output therefore has its
 orthogonality center at site 0, where the next layer's first gate (at
-sites 1, 2) is one QR away. Fine-graining runs the same wrap gate on the
-fine chain, without isometries, and so also returns weights centered at
-site 0.
+sites 1, 2) is one QR away.
+
+Fine-graining (:func:`fine_grain_weights`) runs the layer backwards on
+trained weights: conjugate isometries, then the transposed gates through
+the same pair-gate kernel, so fine weights are also centered at site 0.
 
 A dataset is one stack per scale, from encoding through the cache to
 training. The adjacent gates of a layer run once on the scale's whole
@@ -30,8 +33,7 @@ intermediate (at most half the enlarged chain), runs in chunks of
 consecutive samples whose enlarged stack, counted from the bonds the
 isometries actually leave, would fit ``_CHUNK_BYTES``. A chunk holds at
 least one sample, and the coarser chunks are joined into the next scale's
-stack. Single states
-(:func:`apply_layer`, :func:`apply_pair_gates` and fine-graining) run the
+stack. Single states (:func:`apply_layer` and fine-grained weights) run the
 same kernel as a stack of one.
 
 The on-disk cache is a manifest plus one file of state records per scale;
@@ -227,17 +229,32 @@ def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float, chi_max: int
             err + np.concatenate([wrap_err for _, wrap_err in parts]))
 
 
-def apply_pair_gates(m: MPS, gate: np.ndarray, delta: float,
-                     chi_max: int | None) -> tuple[MPS, float]:
-    """Apply ``gate`` to every pair (2i+1, 2i+2 mod N), wrapping periodically.
-
-    Returns the new state and the summed truncation error. The identity gate
-    short-circuits to an equal state.
+def fine_grain_weights(w: MPS, layer: WaveletMeraLayer, delta: float = 0.0,
+                       chi_max: int | None = None) -> tuple[MPS, float]:
+    """Map weights on N coarse sites to 2N fine sites through ``layer``
+    transposed: conjugate isometries expand each coarse site into a pair
+    (one SVD split each), then the transposed gate, which is the conjugate
+    disentangler, runs as a stack of one. Returns the fine weights and the
+    summed truncation error; with ``delta=0`` and unbounded ``chi_max`` the
+    output on every fine sample equals the coarse output on its image.
     """
-    st = MPSStack.from_states([m])
-    _check_sites(st, len(m))
-    st, err = _apply_pair_gates(st, gate, delta, chi_max)
-    return st.states()[0], float(err[0])
+    if layer.n_sites_in != 2 * len(w):
+        raise DimensionError(f"layer covers {layer.n_sites_in} fine sites, "
+                             f"weights would expand to {2 * len(w)}")
+    if any(d != 2 for d in w.site_dims):
+        raise DimensionError("fine-graining expects site dimension 2 everywhere")
+    v3 = layer.isometry.reshape(2, 2, 2)  # (coarse, s, t)
+    cores, total = [], 0.0
+    for core in w.cores:
+        block = np.einsum("lcr,cst->lstr", core, v3)
+        dl, _, _, dr = block.shape
+        u, s, vh, _, err = svd_split(block.reshape(1, 2 * dl, 2 * dr), delta, chi_max)
+        cores.append(u[0].reshape(dl, 2, -1))
+        cores.append((s[0, :, None] * vh[0]).reshape(-1, 2, dr))
+        total += float(err[0])
+    st, err = _apply_pair_gates(MPSStack.from_states([MPS(cores)]), layer.disentangler.T,
+                                delta, chi_max)
+    return st.states()[0], total + float(err[0])
 
 
 def apply_isometries(st: MPSStack, layer: WaveletMeraLayer) -> MPSStack:
@@ -282,35 +299,6 @@ def _layer_states(st: MPSStack, layer: WaveletMeraLayer, delta: float,
 def apply_layer(m: MPS, layer: WaveletMeraLayer, delta_data: float = 1e-12,
                 chi_data: int | None = 16) -> MPS:
     return _layer_states(MPSStack.from_states([m]), layer, delta_data, chi_data).states()[0]
-
-
-def _ladder(st: MPSStack, n_layers: int, delta_data: float,
-            chi_data: int | None) -> list[MPSStack]:
-    n_sites = len(st.cores)
-    if n_layers < 0:
-        raise ArgumentError("n_layers must be >= 0")
-    if n_layers:
-        if n_sites % (1 << n_layers):
-            raise ArgumentError(f"{n_sites} sites not divisible by 2**{n_layers}")
-        if n_sites >> (n_layers - 1) < 4:
-            raise ArgumentError(f"{n_layers} layers on {n_sites} sites would leave "
-                                "fewer than two coarse sites")
-    scales = [st]
-    for _ in range(n_layers):
-        layer = build_daub4_layer(len(scales[-1].cores))
-        scales.append(_layer_states(scales[-1], layer, delta_data, chi_data))
-    return scales
-
-
-def coarse_grain_sample(m: MPS, n_layers: int, delta_data: float = 1e-12,
-                        chi_data: int | None = 16) -> list[MPS]:
-    """Full ladder [input, one layer coarser, ..., n_layers coarser].
-
-    The chain length must be divisible by 2**n_layers and the coarsest chain
-    must keep at least two sites.
-    """
-    return [scale.states()[0] for scale in
-            _ladder(MPSStack.from_states([m]), n_layers, delta_data, chi_data)]
 
 
 def single_particle_response(layer: WaveletMeraLayer, n: int | None = None) -> np.ndarray:
@@ -401,13 +389,27 @@ def coarse_grain_dataset(samples: MPSStack | Sequence[MPS], labels, n_layers: in
                          fingerprint: str = "") -> ScaleCache:
     """Coarse-grain every sample through n_layers and collect the ladder.
 
-    A given stack becomes the read-only finest scale of the result.
+    A given stack becomes the read-only finest scale of the result. The
+    chain length must be divisible by 2**n_layers and the coarsest chain
+    must keep at least two sites.
     """
     labels = np.asarray(labels, dtype=np.float64)
     st = samples if isinstance(samples, MPSStack) else MPSStack.from_states(list(samples))
     if len(labels) != len(st.bonds):
         raise DimensionError("labels must be one scalar per sample")
-    scales = _ladder(st, n_layers, delta_data, chi_data)
+    n_sites = len(st.cores)
+    if n_layers < 0:
+        raise ArgumentError("n_layers must be >= 0")
+    if n_layers:
+        if n_sites % (1 << n_layers):
+            raise ArgumentError(f"{n_sites} sites not divisible by 2**{n_layers}")
+        if n_sites >> (n_layers - 1) < 4:
+            raise ArgumentError(f"{n_layers} layers on {n_sites} sites would leave "
+                                "fewer than two coarse sites")
+    scales = [st]
+    for _ in range(n_layers):
+        layer = build_daub4_layer(len(scales[-1].cores))
+        scales.append(_layer_states(scales[-1], layer, delta_data, chi_data))
     return ScaleCache([ScaleData(scale, labels.copy()) for scale in scales],
                       delta_data, chi_data, fingerprint)
 

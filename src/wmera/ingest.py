@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DataError, FormatError, NumericError
-from .mps import MPS, MPSStack
+from .mps import MPSStack
 from .util import read_file
 from .wavelet import haar_step
 
@@ -211,10 +211,3 @@ def encode_samples(values) -> MPSStack:
     cores[:, :, 0, 1, 0] = x.T
     return MPSStack(list(cores), np.ones((n, n_sites + 1), dtype=int))
 
-
-def encode_sample(values) -> MPS:
-    """Product-state feature map of one series: site vector (1, x_i) at every site."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ArgumentError("encode_sample expects a nonempty 1-d series")
-    return encode_samples(x[None]).states()[0]

@@ -23,9 +23,9 @@ from synthdata import (
     window_regression,
 )
 from wmera.cli import main as cli_main
-from wmera.coarsegrain import ScaleData, apply_layer, coarse_grain_dataset, single_particle_response
-from wmera.finegrain import fine_grain_weights
-from wmera.ingest import encode_sample
+from wmera.coarsegrain import (ScaleData, apply_layer, coarse_grain_dataset, fine_grain_weights,
+                               single_particle_response)
+from wmera.ingest import encode_samples
 from wmera.mps import canonicalize, inner, merge_bond, split_bond
 from wmera.trainer import Environment, TrainConfig, cost, evaluate, local_gradient, train
 from wmera.wavelet import (
@@ -161,7 +161,7 @@ def test_06_fine_grain_preservation():
     """Projecting weights to the finer scale preserves every model output."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(41)
-    states = [encode_sample(rng.uniform(0.0, 1.0, 64)) for _ in range(200)]
+    states = encode_samples(rng.uniform(0.0, 1.0, (200, 64)))
     cache = coarse_grain_dataset(states, rng.uniform(-1.0, 1.0, 200), 1)
     cfg = TrainConfig(n_sweeps=2, delta_weights=1e-12, chi_max=4, seed=9)
     w, _ = train(cache.scales[1], cfg)

@@ -701,7 +701,24 @@ class TestTrainEvalFinegrain:
     def test_out_of_range_scale_exits_2(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
         run_cli("preprocess", "--config", cfg_path)
-        assert run_cli("train", "--config", cfg_path, "--scale", "7") == 2
+        capsys.readouterr()
+        for command in ("train", "finegrain", "eval"):
+            for scale in ("7", "-1"):
+                assert run_cli(command, "--config", cfg_path, "--scale", scale) == 2
+                assert capsys.readouterr().err.startswith(f"error: scale {scale} not in cache")
+
+    def test_model_of_a_dropped_scale_exits_2(self, tmp_path, capsys):
+        """A model file outlives a cut in n_d4_layers; eval and finegrain
+        refuse its scale rather than read it against a shorter cache."""
+        cfg_path = regression_workspace(tmp_path)
+        assert run_cli("pipeline", "--config", cfg_path) == 0
+        cfg_path.write_text(cfg_path.read_text().replace("n_d4_layers = 1", "n_d4_layers = 0"))
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert (tmp_path / "out" / "model_scale1.mps").is_file()
+        capsys.readouterr()
+        for command in ("eval", "finegrain"):
+            assert run_cli(command, "--config", cfg_path, "--scale", "1") == 2
+            assert capsys.readouterr().err.startswith("error: scale 1 not in cache")
 
     def test_finegrain_needs_a_model(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)

@@ -16,17 +16,16 @@ from synthdata import random_mps, random_product_state
 from wmera.coarsegrain import (
     ScaleCache,
     ScaleData,
+    _apply_pair_gates,
     _compress,
     apply_layer,
-    apply_pair_gates,
     coarse_grain_dataset,
-    coarse_grain_sample,
+    fine_grain_weights,
     load_cache,
     save_cache,
     single_particle_response,
 )
 from wmera.errors import ArgumentError, DataError, DimensionError, FormatError, StateError
-from wmera.finegrain import fine_grain_weights
 from wmera.mps import MPS, MPSStack, inner, product_state
 from wmera.wavelet import (build_daub4_layer, build_haar_layer, build_layer, daub4_from_angles,
                            DAUB4_ANGLES)
@@ -49,6 +48,12 @@ def dense_layer_oracle(vec: np.ndarray, layer, n: int) -> np.ndarray:
         psi = np.tensordot(layer.isometry, psi, axes=(1, i))
         psi = np.moveaxis(psi, 0, i)
     return psi.ravel()
+
+
+def pair_gates(m: MPS, gate: np.ndarray, delta: float, chi) -> tuple[MPS, float]:
+    """The pair-gate kernel, without isometries, on a stack of one."""
+    st, err = _apply_pair_gates(MPSStack.from_states([m]), gate, delta, chi)
+    return st.states()[0], float(err[0])
 
 
 def ref_move_center(cores: list, old, new: int) -> list:
@@ -203,7 +208,7 @@ class TestDenseEquivalence:
                 a, b = (2 * i + 1) % n, (2 * i + 2) % n
                 psi = np.tensordot(g4, psi, axes=([0, 1], [a, b]))
                 psi = np.moveaxis(psi, [0, 1], [a, b])
-            out, err = apply_pair_gates(m, layer.disentangler, 0.0, None)
+            out, err = pair_gates(m, layer.disentangler, 0.0, None)
             assert err == 0.0
             np.testing.assert_allclose(out.to_dense().reshape([2] * n), psi,
                                        atol=1e-10)
@@ -211,7 +216,7 @@ class TestDenseEquivalence:
     def test_identity_gate_is_noop(self):
         rng = np.random.default_rng(23)
         m = random_mps(6, 2, rng)
-        out, err = apply_pair_gates(m, np.eye(4), 1e-12, 16)
+        out, err = pair_gates(m, np.eye(4), 1e-12, 16)
         assert err == 0.0
         np.testing.assert_allclose(out.to_dense(), m.to_dense(), atol=1e-13)
 
@@ -239,7 +244,7 @@ class TestBondGrowth:
         layer = build_daub4_layer(n)
         for _ in range(5):
             m = random_product_state(n, rng)
-            out, _ = apply_pair_gates(m, layer.disentangler, 1e-12, None)
+            out, _ = pair_gates(m, layer.disentangler, 1e-12, None)
             dims = out.bond_dims
             assert dims[0] == dims[n] == 1
             for cut in range(1, n):
@@ -249,7 +254,7 @@ class TestBondGrowth:
     def test_chi_cap_enforced(self):
         rng = np.random.default_rng(25)
         m = random_mps(8, 4, rng)
-        out, err = apply_pair_gates(m, build_daub4_layer(8).disentangler, 0.0, 3)
+        out, err = pair_gates(m, build_daub4_layer(8).disentangler, 0.0, 3)
         assert out.max_bond <= 3
         assert err > 0.0
 
@@ -258,15 +263,15 @@ class TestLadder:
     def test_ladder_shapes(self):
         rng = np.random.default_rng(26)
         m = random_product_state(16, rng)
-        ladder = coarse_grain_sample(m, 2)
-        assert [len(s) for s in ladder] == [16, 8, 4]
+        cache = coarse_grain_dataset([m], [0.0], 2)
+        assert [sd.n_sites for sd in cache.scales] == [16, 8, 4]
 
     def test_rejects_indivisible_lengths(self):
         rng = np.random.default_rng(27)
         with pytest.raises(ArgumentError):
-            coarse_grain_sample(random_product_state(6, rng), 2)
+            coarse_grain_dataset([random_product_state(6, rng)], [0.0], 2)
         with pytest.raises(ArgumentError):
-            coarse_grain_sample(random_product_state(8, rng), 3)
+            coarse_grain_dataset([random_product_state(8, rng)], [0.0], 3)
 
     def test_wrong_layer_width_rejected(self):
         rng = np.random.default_rng(28)
@@ -329,13 +334,13 @@ class TestStackedKernel:
         n_layers = 2 if two_layers and n_sites == 8 else 1
         cache = coarse_grain_dataset(batch, np.zeros(len(batch)), n_layers, delta, chi)
         for i, x in enumerate(batch):
-            alone = coarse_grain_sample(x, n_layers, delta, chi)
+            alone = coarse_grain_dataset([x], [0.0], n_layers, delta, chi).scales
             ref = x
             for level in range(1, n_layers + 1):
                 ref = reference_layer(ref, build_daub4_layer(len(ref)), delta, chi)
-                got = cache.scales[level].samples[i]
-                assert got.bond_dims == alone[level].bond_dims == ref.bond_dims
-                assert relative_sq_distance(got, alone[level]) <= 1e-12
+                got, own = cache.scales[level].samples[i], alone[level].samples[0]
+                assert got.bond_dims == own.bond_dims == ref.bond_dims
+                assert relative_sq_distance(got, own) <= 1e-12
                 assert relative_sq_distance(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("seed, chi", [(40, None), (41, 3), (42, 16)])

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from synthdata import random_mps, random_product_state, two_class_signals
 from test_cli import CLASS_CONFIG, classification_workspace, run_cli
-from wmera.coarsegrain import apply_layer, coarse_grain_dataset
+from wmera.coarsegrain import apply_layer, coarse_grain_dataset, fine_grain_weights
 from wmera.errors import DimensionError
-from wmera.finegrain import fine_grain_weights
-from wmera.ingest import encode_sample
+from wmera.ingest import encode_samples
 from wmera.mps import inner, load_mps
 from wmera.trainer import TrainConfig, cost, train
 from wmera.wavelet import build_daub4_layer, build_haar_layer, build_layer
@@ -112,8 +111,7 @@ def small_cache(seed=31, n=16, n_samples=24, n_layers=1):
     rng = np.random.default_rng(seed)
     signals, labels = two_class_signals(n_samples // 2, n, 0.05, seed,
                                         freqs=(2.0, 5.0))
-    encoded = [encode_sample(s) for s in signals]
-    return coarse_grain_dataset(encoded, labels, n_layers, delta_data=1e-12,
+    return coarse_grain_dataset(encode_samples(signals), labels, n_layers, delta_data=1e-12,
                                 chi_data=16)
 
 

@@ -13,7 +13,7 @@ from wmera.errors import ArgumentError, DataError, FormatError, NumericError, Wm
 from wmera.ingest import (
     FeatureScaler,
     apply_scaler,
-    encode_sample,
+    encode_samples,
     fit_scaler,
     haar_preprocess,
     make_windows,
@@ -332,35 +332,34 @@ class TestScaler:
 
 
 class TestEncodeSample:
+    """``encode_samples`` maps every row of a (samples, sites) array."""
+
     def test_amplitudes_are_kronecker_products(self):
         """The dense state of (1, x_i) sites is the chained outer product."""
-        x = np.array([0.3, 0.8, 0.1])
-        m = encode_sample(x)
-        v = m.cores[0]
-        for c in m.cores[1:]:
-            v = np.tensordot(v, c, axes=(v.ndim - 1, 0))
-        dense = v.reshape(-1)
-        want = np.array([1.0])
-        for xi in x:
-            want = np.kron(want, np.array([1.0, xi]))
-        np.testing.assert_allclose(dense, want, atol=1e-15)
+        x = np.array([[0.3, 0.8, 0.1], [0.5, 0.0, 1.0]])
+        for row, m in zip(x, encode_samples(x).states()):
+            want = np.array([1.0])
+            for xi in row:
+                want = np.kron(want, np.array([1.0, xi]))
+            np.testing.assert_allclose(m.to_dense().ravel(), want, atol=1e-15)
 
     def test_all_bonds_are_trivial(self):
-        m = encode_sample(np.linspace(0, 1, 5))
-        assert all(b == 1 for b in m.bond_dims)
+        st = encode_samples(np.linspace(0, 1, 10).reshape(2, 5))
+        assert st.bonds.shape == (2, 6) and np.all(st.bonds == 1)
+        assert all(c.shape == (2, 1, 2, 1) for c in st.cores)
 
     def test_bad_inputs(self):
-        with pytest.raises(ArgumentError):
-            encode_sample(np.zeros((2, 2)))
+        for bad in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ArgumentError):
+                encode_samples(bad)
         with pytest.raises(DataError):
-            encode_sample([0.1, np.nan])
+            encode_samples([[0.1, 0.2], [0.3, np.nan]])
 
     def test_squared_norm_must_be_a_finite_float(self):
         """The squared norm of (1, 1) on every site is 2**N: 1000 sites fit in
         float64, 1100 do not (2**1024 itself sits on the limit to the bit)."""
-        m = encode_sample(np.ones(1000))
-        assert len(m) == 1000
+        assert len(encode_samples(np.ones((1, 1000))).cores) == 1000
         with pytest.raises(NumericError):
-            encode_sample(np.ones(1100))
-        with pytest.raises(NumericError):
-            encode_sample(np.full(3, 1e200))
+            encode_samples(np.ones((2, 1100)))
+        with pytest.raises(NumericError, match="sample 1 "):
+            encode_samples([np.zeros(3), np.full(3, 1e200)])
