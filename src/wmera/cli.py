@@ -81,7 +81,7 @@ class PipelineConfig:
     pad_to: int | None = None
     n_h2: int = 0
     n_d4_layers: int = 1
-    fine_grain_to: int | None = None
+    fine_grain_to: int = 0
     delta_data: float = 1e-12
     chi_data: int = 16
     threads: int = 1
@@ -89,8 +89,6 @@ class PipelineConfig:
     train_overrides: dict[int, dict] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.fine_grain_to is None:
-            self.fine_grain_to = 0  # descend through every scale by default
         if self.n_h2 < 0 or self.n_d4_layers < 0:
             raise ArgumentError("n_h2 and n_d4_layers must be >= 0")
         if not 0 <= self.fine_grain_to <= self.n_d4_layers:
@@ -351,19 +349,8 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
 def write_snapshot(cfg: PipelineConfig) -> None:
     """Resolved configuration, one sorted key = value per line."""
     cfg.output.mkdir(parents=True, exist_ok=True)
-    entries = {
-        "manifest": str(cfg.manifest_path),
-        "output": str(cfg.output),
-        "task": cfg.task,
-        "pad_to": cfg.pad_to,
-        "n_h2": cfg.n_h2,
-        "n_d4_layers": cfg.n_d4_layers,
-        "fine_grain_to": cfg.fine_grain_to,
-        "delta_data": cfg.delta_data,
-        "chi_data": cfg.chi_data,
-        "threads": cfg.threads,
-        "version": __version__,
-    }
+    entries = {key: getattr(cfg, key) for key in _PIPELINE_KEYS}
+    entries.update(manifest=cfg.manifest_path, task=cfg.task, version=__version__)
     for name, value in asdict(cfg.train_base).items():
         entries[_train_key(name)] = value
     for scale, kwargs in sorted(cfg.train_overrides.items()):
@@ -429,7 +416,6 @@ def _fine_grain(cfg: PipelineConfig, w: MPS, scale: int) -> tuple[MPS, float]:
 
 
 def cmd_preprocess(cfg: PipelineConfig, args) -> int:
-    write_snapshot(cfg)
     train_cache, test_cache = ensure_cache(cfg)
     widths = [sd.n_sites for sd in train_cache.scales]
     print(f"train: {train_cache.scales[0].n_samples} samples, scale widths {widths}")
@@ -439,7 +425,6 @@ def cmd_preprocess(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
-    write_snapshot(cfg)
     scale = _scale(cfg, args)
     train_cache, _ = load_built_caches(cfg, compute_fingerprint(cfg))
     w0 = None
@@ -454,7 +439,6 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_finegrain(cfg: PipelineConfig, args) -> int:
-    write_snapshot(cfg)
     scale = _scale(cfg, args)
     if scale < 1:
         raise ArgumentError("finegrain needs --scale >= 1")
@@ -466,7 +450,6 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
-    write_snapshot(cfg)
     scale = _scale(cfg, args)
     train_cache, test_cache = load_built_caches(cfg, compute_fingerprint(cfg))
     w = load_mps(_model_path(cfg, scale))
@@ -489,7 +472,6 @@ def _eval_report(cfg, w, scale, train_cache, test_cache) -> dict:
 
 
 def cmd_pipeline(cfg: PipelineConfig, args) -> int:
-    write_snapshot(cfg)
     train_cache, test_cache = ensure_cache(cfg)
     summary = []
     w = fine_grain = None
@@ -558,6 +540,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        write_snapshot(cfg)
         return _COMMANDS[args.command](cfg, args)
     except WmeraError as exc:
         print(f"error: {exc}", file=sys.stderr)

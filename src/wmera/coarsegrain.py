@@ -219,12 +219,8 @@ def _apply_pair_gates(st: MPSStack, gate: np.ndarray, delta: float, chi_max: int
     # the bonds the wrap gate enlarges: the isometries keep the even cuts
     grown = (st.bonds if layer is None else st.bonds[:, ::2]).copy()
     grown[:, 1:-1] *= len(_end_operator_pairs(gate)[0])
-    ranges = _chunks(grown)
-    if len(ranges) == 1:
-        st, wrap_err = _apply_gate_straddling(st, gate, delta, chi_max, layer)
-        return st, err + wrap_err
     parts = [_apply_gate_straddling(st.rows(lo, hi), gate, delta, chi_max, layer)
-             for lo, hi in ranges]
+             for lo, hi in _chunks(grown)]
     return (MPSStack.concatenate([part for part, _ in parts]),
             err + np.concatenate([wrap_err for _, wrap_err in parts]))
 
@@ -378,10 +374,6 @@ class ScaleCache:
                 raise DimensionError("scale widths must halve at each level")
             if not np.array_equal(self.scales[i].labels, self.scales[i + 1].labels):
                 raise DataError("labels must be identical across scales")
-
-    @property
-    def n_scales(self) -> int:
-        return len(self.scales)
 
 
 def coarse_grain_dataset(samples: MPSStack | Sequence[MPS], labels, n_layers: int,

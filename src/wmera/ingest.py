@@ -146,8 +146,6 @@ def pad_to_pow2(v, target: int) -> np.ndarray:
         raise ArgumentError(f"target {target} is not a power of two")
     if x.size > target:
         raise ArgumentError(f"series of length {x.size} exceeds target {target}")
-    if x.size == target:
-        return x.copy()
     return np.concatenate([x, np.zeros(target - x.size)])
 
 

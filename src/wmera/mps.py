@@ -271,10 +271,7 @@ def svd_split(mats: np.ndarray, delta: float = 0.0, chi_max: int | None = None,
     keep = np.maximum(np.minimum(keep, cap), 1)
     k = int(keep.max())
     # singular values are sorted, so matrix i discards s[i, keep[i]:]
-    if k == keep.min():
-        tail = s[:, k:]
-    else:
-        tail = np.where(np.arange(s.shape[1]) >= keep[:, None], s, 0.0)
+    tail = np.where(np.arange(s.shape[1]) >= keep[:, None], s, 0.0)
     err = np.einsum("ij,ij->i", tail, tail)  # sets no overflow flag; inf is caught below
     if not np.isfinite(err).all():
         raise NumericError(f"truncation error out of floating-point range: largest "
@@ -324,8 +321,6 @@ def canonicalize(m: MPS, center: int) -> MPS:
     """
     if not 0 <= center < len(m):
         raise ArgumentError(f"center {center} out of range for {len(m)} sites")
-    if m.ortho_center == center:
-        return m
     st = MPSStack([c[None] for c in m.cores], np.array([m.bond_dims]), m.ortho_center)
     _canonicalize(st, center)
     return MPS._from_valid([c[0] for c in st.cores], center)  # one chain: no padding

@@ -31,9 +31,8 @@ runs on worker threads.
 from __future__ import annotations
 
 import math
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -92,7 +91,6 @@ class SweepStats:
     cost: float
     max_bond: int
     train_metric: float
-    wall_time: float
     truncated_weight: float = 0.0
     rollbacks: int = 0
     cg_iters: int = 0
@@ -475,7 +473,6 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
     n_sites = len(w)
     if n_sites < 2:
         raise ArgumentError("sweeping needs at least two sites")
-    t0 = time.perf_counter()
     start = 0 if direction == "lr" else n_sites - 1
     w = canonicalize(w, start)
     if env is None:
@@ -526,7 +523,6 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
         cost=final_cost,
         max_bond=w.max_bond,
         train_metric=_metric_from_outputs(phi @ merged, y, task),
-        wall_time=time.perf_counter() - t0,
         truncated_weight=trunc_total,
         rollbacks=rollbacks,
         cg_iters=cg_iters,
@@ -556,8 +552,6 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
     returning pass. An overflow anywhere in training, as from a label whose
     square is past the float64 range, is a NumericError.
     """
-    if data.n_samples == 0:
-        raise ArgumentError("empty dataset")
     _metric_from_outputs(np.zeros(1), np.zeros(1), task)  # validate the task name
     w = w0 if w0 is not None else random_weights(data.n_sites, cfg)
     w = canonicalize(w, 0)
@@ -566,20 +560,14 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
         env = Environment(w, data)
         env.refresh_right(w)
         for k in range(cfg.n_sweeps):
-            t0 = time.perf_counter()
             w, forth = sweep(w, data, cfg, "lr", env, task, monitor)
             w, back = sweep(w, data, cfg, "rl", env, task, monitor)
-            stats.append(SweepStats(
-                sweep_index=k,
-                cost=back.cost,
-                max_bond=back.max_bond,
-                train_metric=back.train_metric,
-                wall_time=time.perf_counter() - t0,
+            stats.append(replace(
+                back, sweep_index=k,
                 truncated_weight=forth.truncated_weight + back.truncated_weight,
                 rollbacks=forth.rollbacks + back.rollbacks,
                 cg_iters=forth.cg_iters + back.cg_iters,
-                cg_breaks=forth.cg_breaks + back.cg_breaks,
-            ))
+                cg_breaks=forth.cg_breaks + back.cg_breaks))
     return w, stats
 
 

@@ -458,7 +458,7 @@ class TestCachePersistence:
         save_cache(cache, tmp_path / "c")
         loaded = load_cache(tmp_path / "c")
         assert loaded.fingerprint == "abc123"
-        assert loaded.n_scales == 2
+        assert len(loaded.scales) == 2
         np.testing.assert_array_equal(loaded.scales[0].labels, cache.scales[0].labels)
         for sa, sb in zip(cache.scales, loaded.scales):
             for ma, mb in zip(sa.samples, sb.samples):
