@@ -82,7 +82,7 @@ class TrainConfig:
 class SweepStats:
     """Telemetry for one pass (or one full sweep, when emitted by train).
 
-    ``rollbacks`` counts bond updates that re-split the original block after
+    ``rollbacks`` counts bond updates that kept the original block after
     truncation raised the window cost; ``cg_iters`` sums their CG steps and
     ``cg_breaks`` counts the solves a curvature break ended.
     """
@@ -501,13 +501,12 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
                                 cfg.chi_max, new_center)
         merged = merge_bond(w_new, j).ravel()
         c_trunc = _window_cost(phi, merged, y, lam)
-        if c_trunc > c_before + slack:
+        if c_trunc > c_before + slack and w.cores[j].shape[2] <= cfg.chi_max:
             # the solve only helped in directions the bond cap cannot keep;
-            # re-split the original block so the pass stays monotone
-            w_new, err = split_bond(w, j, block, cfg.delta_weights, cfg.chi_max,
-                                    new_center)
-            merged = merge_bond(w_new, j).ravel()
-            c_trunc = _window_cost(phi, merged, y, lam)
+            # keep the original block, whose bond fits the cap, and only move
+            # the center, so the pass stays monotone
+            w_new, err = canonicalize(w, new_center), 0.0
+            merged, c_trunc = block.ravel(), c_before
             rollbacks += 1
         w = w_new
         trunc_total += err
@@ -532,11 +531,12 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
 
 
 def random_weights(n_sites: int, cfg: TrainConfig, site_dim: int = 2) -> MPS:
-    """Small zero-mean random start, so initial outputs are close to zero."""
+    """Small zero-mean random start, so initial outputs are close to zero,
+    with bonds of ``init_bond`` but at most ``chi_max``."""
     if n_sites < 2:
         raise ArgumentError("weights need at least two sites")
     rng = np.random.default_rng(cfg.seed)
-    bonds = [1] + [cfg.init_bond] * (n_sites - 1) + [1]
+    bonds = [1] + [min(cfg.init_bond, cfg.chi_max)] * (n_sites - 1) + [1]
     cores = [rng.normal(size=(bonds[j], site_dim, bonds[j + 1])) * cfg.init_scale
              for j in range(n_sites)]
     return MPS(cores)

@@ -81,6 +81,9 @@ def test_traced_benchmark_records_the_data_path(tmp_path, capsys):
             assert calls[target] > 0, target
     for name in ("trainer.bond_updates", "trainer.splits"):
         assert tracer.counts[name] > 0, name
+    # a rejected bond update keeps its block: no second split, so the
+    # benchmark's derived trainer.resplits reads 0
+    assert tracer.counts["trainer.splits"] == tracer.counts["trainer.bond_updates"]
     recorded = {name for _, _, name, _, _ in tracer.spans}
     for name in ("ingest.encode", "coarsegrain.dataset", "cache.save", "cache.load"):
         assert name in recorded, name

@@ -388,6 +388,27 @@ class TestSweep:
             assert 0 < stats.cg_iters <= 5 * cfg.cg_max_iters
         assert rollbacks[1] > 0 and rollbacks[8] == 0
 
+    def test_rollback_costs_no_second_split(self):
+        """A bond update whose truncation raised the cost keeps its block as
+        it was: one SVD per bond update, rollbacks included."""
+        data = linear_dataset(np.random.default_rng(48), 6, 25)
+        cfg = TrainConfig(delta_weights=1e-12, chi_max=1, seed=0)
+        w = random_weights(6, cfg)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            _, stats = sweep(w, data, cfg, "lr")
+        assert stats.rollbacks > 0
+        assert svd.call_count == len(w) - 1
+
+    def test_rollbacks_keep_the_bond_cap(self):
+        """A start wider than chi_max cannot be kept whole: its bonds are cut
+        to the cap in the first pass, rollbacks or not."""
+        data = linear_dataset(np.random.default_rng(48), 6, 25)
+        w0 = random_weights(6, TrainConfig(init_bond=3, seed=1))
+        cfg = TrainConfig(n_sweeps=2, delta_weights=1e-12, chi_max=1, seed=0)
+        w, stats = train(data, cfg, w0=w0)
+        assert w.max_bond == 1 and all(s.max_bond == 1 for s in stats)
+        assert random_weights(6, cfg).max_bond == 1
+
     def test_rejects_unknown_direction(self):
         rng = np.random.default_rng(50)
         data = linear_dataset(rng, 4, 5)
