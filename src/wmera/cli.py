@@ -99,6 +99,14 @@ class PipelineConfig:
             raise ArgumentError("delta_data must be >= 0 and chi_data >= 1")
         if self.pad_to is not None and (self.pad_to < 4 or self.pad_to & (self.pad_to - 1)):
             raise ArgumentError(f"pad_to must be a power of two >= 4, got {self.pad_to}")
+        for scale in self.train_overrides:  # checked before any scale trains
+            if not 0 <= scale <= self.n_d4_layers:
+                raise ArgumentError(f"per-scale settings for scale {scale}, "
+                                    f"outside 0..{self.n_d4_layers}")
+            try:
+                self.train_config(scale)
+            except ArgumentError as exc:
+                raise ArgumentError(f"per-scale settings for scale {scale}: {exc}") from None
 
     def train_config(self, scale: int) -> TrainConfig:
         if scale in self.train_overrides:
@@ -442,7 +450,11 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
     scale = _scale(cfg, args)
     if scale < 1:
         raise ArgumentError("finegrain needs --scale >= 1")
-    fine, err = _fine_grain(cfg, load_mps(_model_path(cfg, scale)), scale - 1)
+    train_cache, _ = load_built_caches(cfg, compute_fingerprint(cfg))
+    w, width = load_mps(_model_path(cfg, scale)), train_cache.scales[scale].n_sites
+    if len(w) != width:
+        raise DimensionError(f"weights cover {len(w)} sites, scale {scale} has {width}")
+    fine, err = _fine_grain(cfg, w, scale - 1)
     target = _model_path(cfg, scale - 1, init=True)
     save_mps(target, fine)
     print(f"scale {scale} -> {scale - 1}: truncated weight {err:.3g} -> {target}")

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import wmera.cli
 import wmera.coarsegrain
 import wmera.mps
-from wmera.cli import CACHE_ENV_VAR, build_parser, main, parse_kv_file, resolve_config
+from wmera.cli import (_PIPELINE_KEYS, _TRAIN_KEYS, CACHE_ENV_VAR, build_parser, main,
+                       parse_kv_file, resolve_config)
 from wmera.coarsegrain import load_cache
 from wmera.errors import ArgumentError, StateError
 from wmera.mps import MPS, load_mps, save_mps
@@ -144,10 +145,18 @@ class TestResolveConfig:
         with pytest.raises(ArgumentError, match="unknown configuration key"):
             resolve_config(self.args_for(cfg_path))
 
-    def test_unknown_per_scale_key_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line, match", [
+        ("pad_to@1 = 8", "unknown per-scale"),
+        ("chi_max@7 = 2", "scale 7, outside 0..1"),
+        ("n_sweeps@-1 = 9", "scale -1, outside 0..1"),
+        ("n_sweeps@0 = 0", "scale 0: n_sweeps must be >= 1"),
+    ])
+    def test_unknown_per_scale_key_is_rejected(self, tmp_path, line, match):
+        """Per-scale keys are checked when the config is read: a scale the
+        run has no layer for, or a value no scale could train with."""
         cfg_path = classification_workspace(tmp_path)
-        cfg_path.write_text(CLASS_CONFIG + "pad_to@1 = 8\n")
-        with pytest.raises(ArgumentError, match="per-scale"):
+        cfg_path.write_text(CLASS_CONFIG + line + "\n")
+        with pytest.raises(ArgumentError, match=match):
             resolve_config(self.args_for(cfg_path))
 
     def test_unparsable_value_is_rejected(self, tmp_path):
@@ -617,6 +626,9 @@ class TestPreprocess:
         assert lines == sorted(lines)
         assert "seed = 5" in lines
         assert "task = classification" in lines
+        assert "fine_grain_to = 0" in lines
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        assert sorted(keys) == sorted([*_PIPELINE_KEYS, *_TRAIN_KEYS, "task", "version"])
 
     def test_cache_dir_env_redirect(self, tmp_path, monkeypatch):
         cfg_path = classification_workspace(tmp_path)
@@ -708,17 +720,27 @@ class TestTrainEvalFinegrain:
                 assert capsys.readouterr().err.startswith(f"error: scale {scale} not in cache")
 
     def test_model_of_a_dropped_scale_exits_2(self, tmp_path, capsys):
-        """A model file outlives a cut in n_d4_layers; eval and finegrain
-        refuse its scale rather than read it against a shorter cache."""
+        """A model file outlives a cut in n_d4_layers or n_h2; eval and
+        finegrain refuse its scale rather than read it against a cache of
+        other widths, and finegrain writes no warm start."""
         cfg_path = regression_workspace(tmp_path)
         assert run_cli("pipeline", "--config", cfg_path) == 0
-        cfg_path.write_text(cfg_path.read_text().replace("n_d4_layers = 1", "n_d4_layers = 0"))
+        text = cfg_path.read_text()
+        cfg_path.write_text(text.replace("n_d4_layers = 1", "n_d4_layers = 0"))
         assert run_cli("preprocess", "--config", cfg_path) == 0
         assert (tmp_path / "out" / "model_scale1.mps").is_file()
         capsys.readouterr()
         for command in ("eval", "finegrain"):
             assert run_cli(command, "--config", cfg_path, "--scale", "1") == 2
             assert capsys.readouterr().err.startswith("error: scale 1 not in cache")
+        # one Haar pass fewer doubles every width: the 2-site scale-1 model
+        # no longer fits the 4-site scale 1
+        cfg_path.write_text(text.replace("n_h2 = 2", "n_h2 = 1"))
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        capsys.readouterr()
+        assert run_cli("finegrain", "--config", cfg_path, "--scale", "1") == 2
+        assert capsys.readouterr().err == "error: weights cover 2 sites, scale 1 has 4\n"
+        assert not (tmp_path / "out" / "model_scale0.init.mps").exists()
 
     def test_finegrain_needs_a_model(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
