@@ -145,19 +145,18 @@ class TestResolveConfig:
         with pytest.raises(ArgumentError, match="unknown configuration key"):
             resolve_config(self.args_for(cfg_path))
 
-    @pytest.mark.parametrize("line, match", [
-        ("pad_to@1 = 8", "unknown per-scale"),
-        ("chi_max@7 = 2", "scale 7, outside 0..1"),
-        ("n_sweeps@-1 = 9", "scale -1, outside 0..1"),
-        ("n_sweeps@0 = 0", "scale 0: n_sweeps must be >= 1"),
-    ])
-    def test_unknown_per_scale_key_is_rejected(self, tmp_path, line, match):
-        """Per-scale keys are checked when the config is read: a scale the
-        run has no layer for, or a value no scale could train with."""
+    def test_unknown_per_scale_key_is_rejected(self, tmp_path):
+        """Per-scale keys are checked when the config is read: a key that is
+        not a training setting, a scale the run has no layer for, or a value
+        no scale could train with."""
         cfg_path = classification_workspace(tmp_path)
-        cfg_path.write_text(CLASS_CONFIG + line + "\n")
-        with pytest.raises(ArgumentError, match=match):
-            resolve_config(self.args_for(cfg_path))
+        for line, match in [("pad_to@1 = 8", "unknown per-scale"),
+                            ("chi_max@7 = 2", "scale 7, outside 0..1"),
+                            ("n_sweeps@-1 = 9", "scale -1, outside 0..1"),
+                            ("n_sweeps@0 = 0", "scale 0: n_sweeps must be >= 1")]:
+            cfg_path.write_text(CLASS_CONFIG + line + "\n")
+            with pytest.raises(ArgumentError, match=match):
+                resolve_config(self.args_for(cfg_path))
 
     def test_unparsable_value_is_rejected(self, tmp_path):
         cfg_path = classification_workspace(tmp_path)
