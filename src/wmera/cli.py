@@ -43,7 +43,7 @@ from .ingest import (
 )
 from .mps import MPS, MPSStack, load_mps, save_mps
 from .trainer import TrainConfig, cost, evaluate, train
-from .util import atomic_write, canonical_json, read_file, read_json, sha256_hex
+from .util import _is_int, atomic_write, canonical_json, read_file, read_json, sha256_hex
 from .wavelet import build_daub4_layer
 
 CACHE_ENV_VAR = "WMERA_CACHE_DIR"
@@ -220,12 +220,11 @@ def _load_manifest(path: Path) -> dict:
             raise FormatError(f"{path}: series must be a file name")
         if not isinstance(manifest.get("column", ""), (str, type(None))):
             raise FormatError(f"{path}: column must be a column name")
-        # exact type tests: JSON integers load as int, true/false as bool
-        if type(manifest["p"]) is not int:
+        if not _is_int(manifest["p"]):
             raise FormatError(f"{path}: p must be an integer")
         fit_range = manifest["fit_range"]
         if not (isinstance(fit_range, list) and len(fit_range) == 2
-                and all(type(v) is int for v in fit_range)):
+                and all(_is_int(v) for v in fit_range)):
             raise FormatError(f"{path}: fit_range must be a list of two integers")
         lo, hi = fit_range
         if not 0 <= lo < hi:
@@ -324,7 +323,7 @@ def load_built_caches(cfg: PipelineConfig,
     return train, load("test") if train.test_samples != 0 else None
 
 
-def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache | None]:
+def ensure_cache(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
     """Load the preprocessing cache, rebuilding it whenever train and eval
     would refuse it."""
     fingerprint = compute_fingerprint(cfg)
@@ -334,10 +333,10 @@ def ensure_cache(cfg: PipelineConfig, log=print) -> tuple[ScaleCache, ScaleCache
     except (StateError, FormatError, DataError):
         pass
     else:
-        log(f"cache up to date at {root}")
+        print(f"cache up to date at {root}")
         return caches
 
-    log(f"building cache at {root}")
+    print(f"building cache at {root}")
     train, test = load_raw_datasets(cfg)
     scaler = fit_scaler(train[0])
     caches = {"train": None, "test": None}
@@ -370,21 +369,16 @@ def write_snapshot(cfg: PipelineConfig) -> None:
 
 
 def _metric_lines(scale: int, stats_list, fine_grain: dict | None = None) -> str:
-    """One JSON line per sweep, after the scale's fine-graining record when
+    """One JSON line per sweep, the fields of its SweepStats with
+    ``sweep_index`` as ``sweep``, after the scale's fine-graining record when
     given; deterministic fields only, no wall times."""
-    head = ("" if fine_grain is None
-            else json.dumps({"scale": scale, **fine_grain}, sort_keys=True) + "\n")
-    return head + "".join(json.dumps({
-        "scale": scale,
-        "sweep": st.sweep_index,
-        "cost": st.cost,
-        "max_bond": st.max_bond,
-        "train_metric": st.train_metric,
-        "truncated_weight": st.truncated_weight,
-        "rollbacks": st.rollbacks,
-        "cg_iters": st.cg_iters,
-        "cg_breaks": st.cg_breaks,
-    }, sort_keys=True) + "\n" for st in stats_list)
+    records = [] if fine_grain is None else [fine_grain]
+    for st in stats_list:
+        record = asdict(st)
+        record["sweep"] = record.pop("sweep_index")
+        records.append(record)
+    return "".join(json.dumps({"scale": scale, **record}, sort_keys=True) + "\n"
+                   for record in records)
 
 
 def _replace_scale_metrics(path: Path, scale: int, stats_list,

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, _trim_left, _trim_right,
                   inner, product_state, read_mps_records, svd_split, write_mps_records)
-from .util import atomic_write, read_file, read_json, sha256_hex
+from .util import _is_int, atomic_write, read_file, read_json, sha256_hex
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
 # A gate contracts its first (row) index with the incoming pair state:
@@ -297,17 +297,14 @@ def apply_layer(m: MPS, layer: WaveletMeraLayer, delta_data: float = 1e-12,
     return _layer_states(MPSStack.from_states([m]), layer, delta_data, chi_data).states()[0]
 
 
-def single_particle_response(layer: WaveletMeraLayer, n: int | None = None) -> np.ndarray:
-    """Linear response matrix of one layer, shape (n/2, n).
+def single_particle_response(layer: WaveletMeraLayer) -> np.ndarray:
+    """Linear response matrix of one layer, shape (n/2, n) for its n fine sites.
 
     Entry (i, j) is the coarse amplitude on the excited component of site i
     when the input is a product state excited at fine site j only. Rows are
     shifted copies of the layer's 4-tap stencil at stride 2, periodic.
     """
-    if n is None:
-        n = layer.n_sites_in
-    if n != layer.n_sites_in:
-        raise ArgumentError(f"n={n} does not match the layer ({layer.n_sites_in})")
+    n = layer.n_sites_in
     ground = np.array([1.0, 0.0])
     excited = np.array([0.0, 1.0])
     probes = [product_state([excited if i == k else ground for i in range(n // 2)])
@@ -451,10 +448,6 @@ def save_cache(cache: ScaleCache, directory) -> None:
     with atomic_write(manifest_path, text=True) as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
-
-
-def _is_int(v) -> bool:
-    return type(v) is int  # JSON integers load as int, true/false as bool
 
 
 def _is_number(v) -> bool:

@@ -87,12 +87,10 @@ def read_wav(path) -> np.ndarray:
     if count == 0:
         raise DataError(f"{path}: data chunk at byte {body - 8} holds no audio frames")
     frames = np.frombuffer(data, dtype="<i2", count=count, offset=body).astype(np.float64)
-    if channels > 1:
-        frames = frames.reshape(-1, channels).mean(axis=1)
-    return frames / 32768.0
+    return frames.reshape(-1, channels).mean(axis=1) / 32768.0
 
 
-def read_series_csv(path, column: str | None = None, delimiter: str = ",") -> np.ndarray:
+def read_series_csv(path, column: str | None = None) -> np.ndarray:
     """Read one numeric series from a CSV file.
 
     With ``column=None`` each non-blank line must hold exactly one value;
@@ -101,7 +99,7 @@ def read_series_csv(path, column: str | None = None, delimiter: str = ",") -> np
     UTF-8 are a format error naming their offset.
     """
     text = read_file(path, DataError, text=True)
-    rows = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    rows = csv.reader(io.StringIO(text, newline=""))
     values = []
     try:
         index = 0

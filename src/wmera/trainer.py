@@ -376,9 +376,7 @@ def _cg_normal(phi, y: np.ndarray, x0: np.ndarray, out0: np.ndarray, lam: float,
     mu = 2.0 * lam
 
     def op(p):
-        ap = (phi @ p) @ phi / n
-        if mu:
-            ap += mu * p
+        ap = (phi @ p) @ phi / n + mu * p
         return ap, float(p.dot(ap))
 
     rhs = y @ phi / n
@@ -386,11 +384,6 @@ def _cg_normal(phi, y: np.ndarray, x0: np.ndarray, out0: np.ndarray, lam: float,
     if not math.isfinite(stop):
         raise NumericError("the local solve's right-hand side left the float64 range; "
                            "labels or sample norms are too large")
-    r = rhs - out0 @ phi / n
-    if mu:
-        r -= mu * x0
-    if float(r.dot(r)) <= stop * stop:
-        return x0, 0, False
     v, steps = x0, 0
     if _sample_basis(n, x0.size):
         gram = phi.gram() if isinstance(phi, ProductWindow) else phi.dot(phi.T)
@@ -424,6 +417,7 @@ def _cg_normal(phi, y: np.ndarray, x0: np.ndarray, out0: np.ndarray, lam: float,
         r = rhs - op(v)[0]
     else:
         anorm = float(np.vdot(phi, phi)) / n + mu
+        r = rhs - out0 @ phi / n - mu * x0
     dv, more, ended = _cg(op, None, r, stop * stop, anorm, max_iters - steps)
     return v + dv, steps + more, ended == "break"
 

@@ -21,6 +21,10 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # JSON integers load as int, true/false as bool
+
+
 def read_file(path, error, message: str | None = None, text: bool = False):
     """The bytes of ``path``, or with ``text`` its UTF-8 text.
 
