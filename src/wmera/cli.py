@@ -138,10 +138,13 @@ def parse_kv_file(path) -> dict[str, str]:
 
 def _convert(key: str, value: str, kind):
     try:
-        return kind(value)
+        out = kind(value)
     except ValueError:
         raise ArgumentError(f"config key {key!r}: cannot parse {value!r} "
                             f"as {kind.__name__}") from None
+    if kind is float and not np.isfinite(out):
+        raise ArgumentError(f"config key {key!r}: {value!r} is not a finite number")
+    return out
 
 
 def resolve_config(args) -> PipelineConfig:
@@ -299,28 +302,33 @@ def _encode_rows(values: np.ndarray, scaler) -> MPSStack:
     return encode_samples(apply_scaler(scaler, values))
 
 
-def load_built_caches(cfg: PipelineConfig,
-                      fingerprint: str) -> tuple[ScaleCache, ScaleCache | None]:
-    """The train and test caches built for ``fingerprint``.
-
-    The one rule for whether a cache can be used: each split's manifest, read
-    once, is sound and built for ``fingerprint``, and the test split is absent
-    only when the train manifest counts it as empty. Train and eval report the
-    StateError, FormatError or DataError it raises; preprocess and pipeline
-    rebuild on it.
-    """
-    def load(split: str) -> ScaleCache:
+def _built_manifests(cfg: PipelineConfig, fingerprint: str) -> dict[str, dict]:
+    """Each split's cache manifest, read once: the one rule for whether a
+    cache can be used. Each is sound (else FormatError) and built for
+    ``fingerprint`` with ``n_d4_layers + 1`` scales, and the test split is
+    absent only when the train manifest counts it as empty (else StateError)."""
+    manifests = {}
+    for split in ("train", "test"):
+        # a missing count (an older build) cannot tell a dropped test split from a lost one
+        if split == "test" and manifests["train"].get("test_samples") == 0:
+            break
         directory = cfg.cache_root / split
         manifest = read_cache_manifest(directory)
         if (manifest.get("fingerprint") != fingerprint
                 or len(manifest["scales"]) != cfg.n_d4_layers + 1):
             raise StateError(f"the cache at {directory} was built from other data or "
                              "settings; run 'wmera preprocess' again")
-        return load_cache(directory, manifest)
+        manifests[split] = manifest
+    return manifests
 
-    train = load("train")
-    # a missing count (an older build) cannot tell a dropped test split from a lost one
-    return train, load("test") if train.test_samples != 0 else None
+
+def load_built_caches(cfg: PipelineConfig,
+                      fingerprint: str) -> tuple[ScaleCache, ScaleCache | None]:
+    """The train and test caches :func:`_built_manifests` accepts; train and
+    eval report the errors it raises, preprocess and pipeline rebuild."""
+    caches = {split: load_cache(cfg.cache_root / split, manifest)
+              for split, manifest in _built_manifests(cfg, fingerprint).items()}
+    return caches["train"], caches.get("test")
 
 
 def ensure_cache(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
@@ -444,8 +452,8 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
     scale = _scale(cfg, args)
     if scale < 1:
         raise ArgumentError("finegrain needs --scale >= 1")
-    train_cache, _ = load_built_caches(cfg, compute_fingerprint(cfg))
-    w, width = load_mps(_model_path(cfg, scale)), train_cache.scales[scale].n_sites
+    train = _built_manifests(cfg, compute_fingerprint(cfg))["train"]
+    w, width = load_mps(_model_path(cfg, scale)), train["scales"][scale]["n_sites"]
     if len(w) != width:
         raise DimensionError(f"weights cover {len(w)} sites, scale {scale} has {width}")
     fine, err = _fine_grain(cfg, w, scale - 1)

@@ -76,6 +76,8 @@ class TrainConfig:
             raise ArgumentError("cg_tol must be >= 0")
         if self.init_bond < 1 or self.init_scale <= 0:
             raise ArgumentError("init_bond must be >= 1 and init_scale > 0")
+        if self.seed < 0:
+            raise ArgumentError("seed must be >= 0")
 
 
 @dataclass
@@ -384,6 +386,10 @@ def _cg_normal(phi, y: np.ndarray, x0: np.ndarray, out0: np.ndarray, lam: float,
     if not math.isfinite(stop):
         raise NumericError("the local solve's right-hand side left the float64 range; "
                            "labels or sample norms are too large")
+    r = rhs - out0 @ phi / n - mu * x0
+    # _cg makes this test too, but in sample space only once the Gram matrix is formed
+    if float(r.dot(r)) <= stop * stop:
+        return x0, 0, False
     v, steps = x0, 0
     if _sample_basis(n, x0.size):
         gram = phi.gram() if isinstance(phi, ProductWindow) else phi.dot(phi.T)
@@ -417,7 +423,6 @@ def _cg_normal(phi, y: np.ndarray, x0: np.ndarray, out0: np.ndarray, lam: float,
         r = rhs - op(v)[0]
     else:
         anorm = float(np.vdot(phi, phi)) / n + mu
-        r = rhs - out0 @ phi / n - mu * x0
     dv, more, ended = _cg(op, None, r, stop * stop, anorm, max_iters - steps)
     return v + dv, steps + more, ended == "break"
 

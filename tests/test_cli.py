@@ -20,8 +20,9 @@ import wmera.mps
 from wmera.cli import (_PIPELINE_KEYS, _TRAIN_KEYS, CACHE_ENV_VAR, build_parser, main,
                        parse_kv_file, resolve_config)
 from wmera.coarsegrain import load_cache
-from wmera.errors import ArgumentError, StateError
+from wmera.errors import ArgumentError, StateError, WmeraError
 from wmera.mps import MPS, load_mps, save_mps
+from wmera.trainer import random_weights
 
 
 def write_wav(path, values):
@@ -181,6 +182,27 @@ class TestExitCodes:
         cfg_path.write_text(CLASS_CONFIG + "bogus = 1\n")
         assert run_cli("preprocess", "--config", cfg_path) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(), ("--seed", "-3")], ids=["key", "flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, extra):
+        """A negative seed, from the file or the flag, is refused before any
+        work is done."""
+        cfg_path = regression_workspace(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("seed = 7", "seed = -1"))
+        assert run_cli("pipeline", "--config", cfg_path, *extra) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta_data", "nan"), ("delta_weights", "nan"), ("lambda", "inf"),
+        ("cg_tol", "nan"), ("init_scale", "nan"), ("lambda@0", "1e400")])
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path = regression_workspace(tmp_path)
+        cfg_path.write_text(cfg_path.read_text() + f"{key} = {value}\n")
+        assert run_cli("pipeline", "--config", cfg_path) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r}: {value!r} is not a finite number\n")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_manifest_exits_3(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
@@ -741,6 +763,24 @@ class TestTrainEvalFinegrain:
         assert capsys.readouterr().err == "error: weights cover 2 sites, scale 1 has 4\n"
         assert not (tmp_path / "out" / "model_scale0.init.mps").exists()
 
+    def test_finegrain_reads_no_scale_file(self, tmp_path, capsys, monkeypatch):
+        """finegrain checks the cache manifests and takes the width from
+        them: it loads no scale file, and a stale cache still exits 5."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        assert run_cli("train", "--config", cfg_path) == 0
+
+        def no_load(*args):
+            raise AssertionError("finegrain loaded a cache")
+
+        monkeypatch.setattr(wmera.cli, "load_cache", no_load)
+        assert run_cli("finegrain", "--config", cfg_path) == 0
+        assert len(load_mps(tmp_path / "out" / "model_scale0.init.mps")) == 8
+        cfg_path.write_text(CLASS_CONFIG.replace("chi_data = 8", "chi_data = 2"))
+        capsys.readouterr()
+        assert run_cli("finegrain", "--config", cfg_path) == 5
+        assert "run 'wmera preprocess' again" in capsys.readouterr().err
+
     def test_finegrain_needs_a_model(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
         run_cli("preprocess", "--config", cfg_path)
@@ -854,3 +894,32 @@ class TestManifestFuzz:
         cache = tmp_path / "out" / "cache" / "train"
         (cache / "subdir").mkdir()
         self.fuzz(cache / "manifest.json", cfg_path, "train", "eval")
+
+
+class TestSettingsFuzz:
+    """Any one setting of a valid config, a per-scale one included, set to an
+    edge value: reading the config, building each scale's TrainConfig and
+    drawing the starting weights succeed or raise a WmeraError, never
+    another exception."""
+
+    def test_edge_values(self, tmp_path):
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG + "n_sweeps@0 = 2\n")
+        original = parse_kv_file(cfg_path)
+        keys = sorted(set(original) | set(_TRAIN_KEYS) | set(_PIPELINE_KEYS))
+        args = build_parser().parse_args(["pipeline", "--config", str(cfg_path)])
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(key=st.sampled_from(keys),
+               value=st.sampled_from(["nan", "inf", "-1", "0", "1e400", ""]))
+        def check(key, value):
+            edited = {**original, key: value}
+            cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in edited.items()))
+            try:
+                cfg = resolve_config(args)
+                for scale in range(cfg.n_d4_layers + 1):
+                    random_weights(4, cfg.train_config(scale))
+            except WmeraError:
+                pass
+
+        check()

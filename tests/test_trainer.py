@@ -83,7 +83,7 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         for kwargs in ({"n_sweeps": 0}, {"delta_weights": -1.0}, {"chi_max": 0},
                        {"lam": -0.1}, {"cg_max_iters": 0}, {"init_bond": 0},
-                       {"cg_tol": -1e-3}):
+                       {"cg_tol": -1e-3}, {"seed": -1}):
             with pytest.raises(ArgumentError):
                 TrainConfig(**kwargs)
 
@@ -322,6 +322,18 @@ class TestSampleSpaceSolve:
             env = Environment(w, data)
             env.refresh_right(w)
             assert isinstance(env.window(0), ProductWindow) == factored
+
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_converged_start_takes_no_step(self, n):
+        """A start whose residual is already below the tolerance comes back
+        unchanged after zero steps, in sample space (4 samples) and on the
+        block (40 samples) alike."""
+        rng = np.random.default_rng(74)
+        phi, y, lam = rng.standard_normal((n, 32)), rng.standard_normal(n), 1e-3
+        assert wmera.trainer._sample_basis(n, 32) == (n == 4)
+        x0 = np.linalg.solve(phi.T @ phi / n + 2.0 * lam * np.eye(32), phi.T @ y / n)
+        got, steps, broke = _cg_normal(phi, y, x0, phi @ x0, lam, 20, 1e-8)
+        assert np.array_equal(got, x0) and steps == 0 and not broke
 
     @pytest.mark.parametrize("n_samples", [4, 40])
     def test_inf_in_an_environment_is_numeric_error(self, n_samples):
