@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .coarsegrain import (
+    CHI_DATA,
+    DELTA_DATA,
     LAYER_REVISION,
     ScaleCache,
     coarse_grain_dataset,
@@ -82,8 +84,8 @@ class PipelineConfig:
     n_h2: int = 0
     n_d4_layers: int = 1
     fine_grain_to: int = 0
-    delta_data: float = 1e-12
-    chi_data: int = 16
+    delta_data: float = DELTA_DATA
+    chi_data: int = CHI_DATA
     threads: int = 1
     train_base: TrainConfig = field(default_factory=TrainConfig)
     train_overrides: dict[int, dict] = field(default_factory=dict)
@@ -237,14 +239,6 @@ def _load_manifest(path: Path) -> dict:
     return manifest
 
 
-def _read_series_file(path: Path) -> np.ndarray:
-    if path.suffix.lower() == ".wav":
-        return read_wav(path)
-    if path.suffix.lower() == ".csv":
-        return read_series_csv(path)
-    raise FormatError(f"{path}: unsupported sample format {path.suffix!r}")
-
-
 def _referenced_files(cfg: PipelineConfig) -> list[Path]:
     base = cfg.manifest_path.parent
     if cfg.task == "classification":
@@ -258,7 +252,7 @@ def load_raw_datasets(cfg: PipelineConfig) -> tuple[tuple[np.ndarray, np.ndarray
     (samples, sites) array and one label vector per split, train then test."""
     if cfg.task == "classification":
         entries = cfg.manifest["samples"]
-        clips = [_read_series_file(path) for path in _referenced_files(cfg)]
+        clips = [read_wav(path) for path in _referenced_files(cfg)]
         if cfg.pad_to is not None:
             clips = [pad_to_pow2(clip, cfg.pad_to) for clip in clips]
         if len({clip.size for clip in clips}) > 1:
@@ -351,11 +345,9 @@ def ensure_cache(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
     for split, (values, labels) in (("train", train), ("test", test)):
         if len(labels):
             caches[split] = coarse_grain_dataset(_encode_rows(values, scaler), labels,
-                                                 cfg.n_d4_layers, cfg.delta_data,
-                                                 cfg.chi_data, fingerprint=fingerprint)
-            if split == "train":
-                caches[split].test_samples = len(test[1])
-            save_cache(caches[split], root / split)
+                                                 cfg.n_d4_layers, cfg.delta_data, cfg.chi_data)
+            save_cache(caches[split], root / split, fingerprint,
+                       len(test[1]) if split == "train" else None)
         elif (root / split).exists():
             shutil.rmtree(root / split)  # a split the manifest no longer has
     return caches["train"], caches["test"]

@@ -84,6 +84,8 @@ LAYER_REVISION = 4
 # dataset size, while the adjacent gates run on every sample at once.
 _CHUNK_BYTES = 4 << 20
 
+DELTA_DATA, CHI_DATA = 1e-12, 16  # default truncation of data states: threshold, bond cap
+
 
 def _check_sites(st: MPSStack, n_sites: int) -> None:
     if len(st.cores) != n_sites:
@@ -292,8 +294,8 @@ def _layer_states(st: MPSStack, layer: WaveletMeraLayer, delta: float,
     return _apply_pair_gates(own, layer.disentangler, delta, chi_max, layer)[0]
 
 
-def apply_layer(m: MPS, layer: WaveletMeraLayer, delta_data: float = 1e-12,
-                chi_data: int | None = 16) -> MPS:
+def apply_layer(m: MPS, layer: WaveletMeraLayer, delta_data: float = DELTA_DATA,
+                chi_data: int | None = CHI_DATA) -> MPS:
     return _layer_states(MPSStack.from_states([m]), layer, delta_data, chi_data).states()[0]
 
 
@@ -358,10 +360,8 @@ class ScaleCache:
     """Ladder of ScaleData from finest (index 0) to coarsest, plus settings."""
 
     scales: list[ScaleData]
-    delta_data: float = 1e-12
-    chi_data: int | None = 16
-    fingerprint: str = ""
-    test_samples: int | None = None  # size of the test split, kept with a train split
+    delta_data: float = DELTA_DATA
+    chi_data: int | None = CHI_DATA
 
     def __post_init__(self):
         if not self.scales:
@@ -374,19 +374,16 @@ class ScaleCache:
 
 
 def coarse_grain_dataset(samples: MPSStack | Sequence[MPS], labels, n_layers: int,
-                         delta_data: float = 1e-12, chi_data: int | None = 16,
-                         fingerprint: str = "") -> ScaleCache:
+                         delta_data: float = DELTA_DATA,
+                         chi_data: int | None = CHI_DATA) -> ScaleCache:
     """Coarse-grain every sample through n_layers and collect the ladder.
 
     A given stack becomes the read-only finest scale of the result. The
     chain length must be divisible by 2**n_layers and the coarsest chain
     must keep at least two sites.
     """
-    labels = np.asarray(labels, dtype=np.float64)
-    st = samples if isinstance(samples, MPSStack) else MPSStack.from_states(list(samples))
-    if len(labels) != len(st.bonds):
-        raise DimensionError("labels must be one scalar per sample")
-    n_sites = len(st.cores)
+    scales = [ScaleData(samples, labels)]
+    n_sites = scales[0].n_sites
     if n_layers < 0:
         raise ArgumentError("n_layers must be >= 0")
     if n_layers:
@@ -395,12 +392,11 @@ def coarse_grain_dataset(samples: MPSStack | Sequence[MPS], labels, n_layers: in
         if n_sites >> (n_layers - 1) < 4:
             raise ArgumentError(f"{n_layers} layers on {n_sites} sites would leave "
                                 "fewer than two coarse sites")
-    scales = [st]
     for _ in range(n_layers):
-        layer = build_daub4_layer(len(scales[-1].cores))
-        scales.append(_layer_states(scales[-1], layer, delta_data, chi_data))
-    return ScaleCache([ScaleData(scale, labels.copy()) for scale in scales],
-                      delta_data, chi_data, fingerprint)
+        layer = build_daub4_layer(scales[-1].n_sites)
+        scales.append(ScaleData(_layer_states(scales[-1].stack, layer, delta_data, chi_data),
+                                scales[0].labels.copy()))
+    return ScaleCache(scales, delta_data, chi_data)
 
 
 # On-disk layout: manifest.json plus one binary file per scale holding the
@@ -409,9 +405,9 @@ _CACHE_FORMAT = "wmera-cache"
 _CACHE_VERSION = 1
 
 
-def save_cache(cache: ScaleCache, directory) -> None:
-    """Write the scale files, then the manifest that vouches for them.
-
+def save_cache(cache: ScaleCache, directory, fingerprint: str = "", test_samples=None) -> None:
+    """Write the scale files, then the manifest that vouches for them and
+    records the build: the input ``fingerprint`` and a train split's ``test_samples``.
     Each scale file is written straight from the scale's stack and hashed
     from the bytes written. An existing manifest is removed first and the
     new one is moved into place only after every scale file is written, so
@@ -437,14 +433,14 @@ def save_cache(cache: ScaleCache, directory) -> None:
     manifest = {
         "format": _CACHE_FORMAT,
         "version": _CACHE_VERSION,
-        "fingerprint": cache.fingerprint,
+        "fingerprint": fingerprint,
         "delta_data": cache.delta_data,
         "chi_data": cache.chi_data,
         "labels": [float(y) for y in cache.scales[0].labels],
         "scales": scales_meta,
     }
-    if cache.test_samples is not None:
-        manifest["test_samples"] = cache.test_samples
+    if test_samples is not None:
+        manifest["test_samples"] = test_samples
     with atomic_write(manifest_path, text=True) as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -519,7 +515,6 @@ def load_cache(directory, manifest: dict | None = None) -> ScaleCache:
     directory = Path(directory)
     if manifest is None:
         manifest = read_cache_manifest(directory)
-    labels = np.asarray(manifest["labels"], dtype=np.float64)
     scales = []
     for meta in manifest["scales"]:
         path = directory / meta["file"]
@@ -534,6 +529,5 @@ def load_cache(directory, manifest: dict | None = None) -> ScaleCache:
             raise FormatError(f"{path}: {exc}") from None
         if len(st.cores) != meta["n_sites"]:
             raise FormatError(f"{path}: sample width disagrees with manifest")
-        scales.append(ScaleData(st, labels.copy()))
-    return ScaleCache(scales, float(manifest["delta_data"]), manifest["chi_data"],
-                      manifest.get("fingerprint", ""), manifest.get("test_samples"))
+        scales.append(ScaleData(st, manifest["labels"]))
+    return ScaleCache(scales, float(manifest["delta_data"]), manifest["chi_data"])

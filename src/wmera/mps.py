@@ -5,9 +5,9 @@ bonds have extent 1. ``MPS`` values are immutable by convention: every
 operation returns a new state and never mutates core arrays in place, so
 unchanged cores may be shared between instances. Gauge moves, two-site
 merges and truncated SVD splits run batched on an :class:`MPSStack`;
-:func:`canonicalize` runs them on a single state as a stack of one that
-views its cores, and :func:`merge_bond` and :func:`split_bond` contract and
-split one chain's two cores directly, with the same rank rule. State
+:func:`canonicalize` and :func:`merge_bond` run them on a single state as a
+stack of one that views its cores, and :func:`split_bond` splits one chain's
+two cores directly, with the same rank rule. State
 records, of model files and cache scale files alike, are written in one place,
 :func:`write_mps_records`, and parsed in one place, :func:`read_mps_records`,
 both straight from and into a stack; no other module knows their layout.
@@ -337,9 +337,7 @@ def merge_bond(m: MPS, j: int) -> np.ndarray:
     if m.ortho_center not in (j, j + 1):
         raise StateError(f"merge_bond at {j} needs the orthogonality center at "
                          f"{j} or {j + 1}, found {m.ortho_center}")
-    a, b = m.cores[j], m.cores[j + 1]
-    block = a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)
-    return block.reshape(a.shape[:2] + b.shape[1:])
+    return _merge(m.cores[j][None], m.cores[j + 1][None])[0]
 
 
 def split_bond(m: MPS, j: int, block: np.ndarray, delta: float, chi_max: int | None,

@@ -133,14 +133,14 @@ class Environment:
     def refresh_right(self, w: MPS, down_to: int = 1) -> None:
         """Recompute right[j] for all j >= down_to from the current cores."""
         for j in range(self.n_sites - 1, down_to - 1, -1):
-            self.right[j] = _extend_right(w.cores[j], self.stack.cores[j], self.right[j + 1])
+            self.advance_right(w, j)
 
     def refresh_left(self, w: MPS, up_to: int | None = None) -> None:
         """Recompute left[j] for all j <= up_to from the current cores."""
         if up_to is None:
             up_to = self.n_sites - 1
         for j in range(up_to):
-            self.left[j + 1] = _extend_left(self.left[j], w.cores[j], self.stack.cores[j])
+            self.advance_left(w, j)
 
     def advance_left(self, w: MPS, j: int) -> None:
         """Update left[j+1] after core j changed during a rightward pass."""
@@ -311,21 +311,26 @@ def _cg(op, metric: np.ndarray | None, r: np.ndarray, rr_stop: float, anorm: flo
     "floor" (a residual norm near the rounding floor of the metric, see
     ``_RESOLVED``). ``r`` is updated in place.
     """
-    if metric is None:
-        mr, floor = r, 0.0
-    else:
-        mr, floor = metric.dot(r), _RESOLVED * float(np.trace(metric))
-    rr = float(r.dot(mr))
-    if not math.isfinite(rr):
-        raise NumericError("conjugate gradient started from non-finite values; "
-                           "check the labels and sample norms")
+    floor = 0.0 if metric is None else _RESOLVED * float(np.trace(metric))
     dx = np.zeros_like(r)
-    if floor and rr <= floor * float(r.dot(r)):
-        return dx, 0, "floor"
-    if rr <= rr_stop:
-        return dx, 0, "tol"
-    p, pp = r.copy(), rr
-    for steps in range(max_iters):
+    for steps in range(max_iters + 1):  # each residual is tested once, before its step
+        rr_new = float(r.dot(r if metric is None else metric.dot(r)))
+        if not math.isfinite(rr_new):
+            raise NumericError("conjugate gradient reached non-finite values; check the labels "
+                               "and sample norms, or try a larger lam or smaller chi_max")
+        if floor and rr_new <= floor * float(r.dot(r)):
+            return dx, steps, "floor"
+        if rr_new <= rr_stop:
+            return dx, steps, "tol"
+        if steps == max_iters:
+            return dx, steps, "cap"
+        if steps:
+            beta = rr_new / rr
+            p = r + beta * p
+            pp = rr_new + beta * beta * pp  # p . (M p): p is M-orthogonal to the new r
+        else:
+            p, pp = r.copy(), rr_new
+        rr = rr_new
         kp, pap = op(p)
         if not (math.isfinite(pap) and math.isfinite(pp)):
             raise NumericError("conjugate gradient produced non-finite values; "
@@ -337,20 +342,6 @@ def _cg(op, metric: np.ndarray | None, r: np.ndarray, rr_stop: float, anorm: flo
         alpha = rr / pap
         dx += alpha * p
         r -= alpha * kp
-        mr = r if metric is None else metric.dot(r)
-        rr_new = float(r.dot(mr))
-        if not math.isfinite(rr_new):
-            raise NumericError("conjugate gradient diverged; "
-                               "try a larger lam or smaller chi_max")
-        if floor and rr_new <= floor * float(r.dot(r)):
-            return dx, steps + 1, "floor"
-        if rr_new <= rr_stop:
-            return dx, steps + 1, "tol"
-        beta = rr_new / rr
-        p = r + beta * p
-        pp = rr_new + beta * beta * pp  # p . (M p), as p is M-orthogonal to the new residual
-        rr = rr_new
-    return dx, max_iters, "cap"
 
 
 def _cg_normal(phi, y: np.ndarray, x0: np.ndarray, out0: np.ndarray, lam: float,
@@ -428,7 +419,7 @@ def _cg_normal(phi, y: np.ndarray, x0: np.ndarray, out0: np.ndarray, lam: float,
 
 
 def solve_local(phi, y: np.ndarray, vec0: np.ndarray, lam: float = 0.0,
-                cg_max_iters: int = 20, cg_tol: float = 1e-10,
+                cg_max_iters: int = TrainConfig.cg_max_iters, cg_tol: float = TrainConfig.cg_tol
                 ) -> tuple[np.ndarray, float, float, int, bool]:
     """Minimize the window cost over the merged block, starting from ``vec0``.
 

@@ -266,6 +266,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no audio frames" in err
 
+    def test_csv_clip_exits_3(self, tmp_path, capsys):
+        """Classification clips are WAV files: a clip in CSV is a format
+        error naming the file, however readable as a series."""
+        cfg_path = classification_workspace(tmp_path)
+        (tmp_path / "data" / "s03.csv").write_text("0.5\n" * 16)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["samples"][3]["path"] = "data/s03.csv"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("preprocess", "--config", cfg_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path / "data" / "s03.csv") in err
+
     @pytest.mark.parametrize("workspace, victim, command, code", [
         (regression_workspace, "series.csv", "preprocess", 3),
         (classification_workspace, "manifest.json", "preprocess", 3),

@@ -22,6 +22,7 @@ from wmera.coarsegrain import (
     coarse_grain_dataset,
     fine_grain_weights,
     load_cache,
+    read_cache_manifest,
     save_cache,
     single_particle_response,
 )
@@ -450,14 +451,13 @@ class TestCachePersistence:
     def _make_cache(self):
         rng = np.random.default_rng(30)
         samples = [random_product_state(8, rng) for _ in range(4)]
-        return coarse_grain_dataset(samples, np.array([1.0, -1.0, 1.0, -1.0]), 1,
-                                    fingerprint="abc123")
+        return coarse_grain_dataset(samples, np.array([1.0, -1.0, 1.0, -1.0]), 1)
 
     def test_round_trip(self, tmp_path):
         cache = self._make_cache()
-        save_cache(cache, tmp_path / "c")
+        save_cache(cache, tmp_path / "c", fingerprint="abc123")
+        assert read_cache_manifest(tmp_path / "c")["fingerprint"] == "abc123"
         loaded = load_cache(tmp_path / "c")
-        assert loaded.fingerprint == "abc123"
         assert len(loaded.scales) == 2
         np.testing.assert_array_equal(loaded.scales[0].labels, cache.scales[0].labels)
         for sa, sb in zip(cache.scales, loaded.scales):
