@@ -45,7 +45,8 @@ from .ingest import (
 )
 from .mps import MPS, MPSStack, load_mps, save_mps
 from .trainer import TrainConfig, cost, evaluate, train
-from .util import _is_int, atomic_write, canonical_json, read_file, read_json, sha256_hex
+from .util import (_is_int, atomic_write, canonical_json, make_dir, read_file, read_json,
+                   sha256_hex)
 from .wavelet import build_daub4_layer
 
 CACHE_ENV_VAR = "WMERA_CACHE_DIR"
@@ -91,14 +92,14 @@ class PipelineConfig:
     train_overrides: dict[int, dict] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_h2 < 0 or self.n_d4_layers < 0:
-            raise ArgumentError("n_h2 and n_d4_layers must be >= 0")
+        if not (0 <= self.n_h2 <= 63 and 0 <= self.n_d4_layers <= 63):  # counts of halvings
+            raise ArgumentError("n_h2 and n_d4_layers must lie in [0, 63]")
         if not 0 <= self.fine_grain_to <= self.n_d4_layers:
             raise ArgumentError(f"fine_grain_to must lie in [0, {self.n_d4_layers}]")
         if self.threads < 1:
             raise ArgumentError("threads must be >= 1")
-        if self.delta_data < 0 or self.chi_data < 1:
-            raise ArgumentError("delta_data must be >= 0 and chi_data >= 1")
+        if self.delta_data < 0 or not 1 <= self.chi_data < 2**63:  # a bond extent is int64
+            raise ArgumentError("delta_data must be >= 0 and chi_data in [1, 2**63)")
         if self.pad_to is not None and (self.pad_to < 4 or self.pad_to & (self.pad_to - 1)):
             raise ArgumentError(f"pad_to must be a power of two >= 4, got {self.pad_to}")
         for scale in self.train_overrides:  # checked before any scale trains
@@ -355,7 +356,7 @@ def ensure_cache(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
 
 def write_snapshot(cfg: PipelineConfig) -> None:
     """Resolved configuration, one sorted key = value per line."""
-    cfg.output.mkdir(parents=True, exist_ok=True)
+    make_dir(cfg.output)
     entries = {key: getattr(cfg, key) for key in _PIPELINE_KEYS}
     entries.update(manifest=cfg.manifest_path, task=cfg.task, version=__version__)
     for name, value in asdict(cfg.train_base).items():

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, _trim_left, _trim_right,
                   inner, product_state, read_mps_records, svd_split, write_mps_records)
-from .util import _is_int, atomic_write, read_file, read_json, sha256_hex
+from .util import _is_int, atomic_write, make_dir, read_file, read_json, sha256_hex
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
 # A gate contracts its first (row) index with the incoming pair state:
@@ -414,8 +414,7 @@ def save_cache(cache: ScaleCache, directory, fingerprint: str = "", test_samples
     an interrupted save leaves no manifest and the next load fails with
     StateError.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_dir(directory)
     manifest_path = directory / "manifest.json"
     manifest_path.unlink(missing_ok=True)
     scales_meta = []

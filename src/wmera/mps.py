@@ -20,7 +20,8 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, FormatError, NumericError, StateError
+from .errors import (ArgumentError, DataError, DimensionError, FormatError, NumericError,
+                     StateError)
 from .util import atomic_write, read_file
 
 
@@ -473,6 +474,9 @@ def load_mps(path) -> MPS:
     if head != _MODEL_HEAD:
         raise FormatError(f"{path}: not a model file of format version {MPS_FORMAT_VERSION}")
     try:
-        return read_mps_records(data[len(head):], 1).states()[0]
+        m = read_mps_records(data[len(head):], 1).states()[0]
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    if not all(np.isfinite(c).all() for c in m.cores):
+        raise DataError(f"{path}: the model holds a non-finite value")
+    return m

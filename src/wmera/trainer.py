@@ -66,8 +66,8 @@ class TrainConfig:
             raise ArgumentError("n_sweeps must be >= 1")
         if self.delta_weights < 0:
             raise ArgumentError("delta_weights must be >= 0")
-        if self.chi_max < 1:
-            raise ArgumentError("chi_max must be >= 1")
+        if not 1 <= self.chi_max < 2**63:  # a bond extent is int64
+            raise ArgumentError("chi_max must lie in [1, 2**63)")
         if self.lam < 0:
             raise ArgumentError("lam must be >= 0")
         if self.cg_max_iters < 1:

@@ -1,5 +1,6 @@
 """Small shared helpers: canonical JSON, SHA-256 hashing, and the one file
-boundary, through which every input is read and every whole output written."""
+boundary, through which every input is read, every output directory made and
+every whole output written."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import ArgumentError, FormatError
 
 
 def canonical_json(obj) -> str:
@@ -53,6 +54,16 @@ def read_json(path, error, message: str | None = None):
         return json.loads(text)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+def make_dir(path) -> Path:
+    """Directory ``path``, made with its parents when absent; one that cannot
+    be made, as where a file is in the way, is an ArgumentError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ArgumentError(f"cannot create directory {path}: {exc.strerror}") from None
+    return Path(path)
 
 
 @contextmanager

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import wmera.cli
 import wmera.coarsegrain
 import wmera.mps
-from wmera.cli import (_PIPELINE_KEYS, _TRAIN_KEYS, CACHE_ENV_VAR, build_parser, main,
-                       parse_kv_file, resolve_config)
+from wmera.cli import (_PIPELINE_KEYS, _TRAIN_KEYS, CACHE_ENV_VAR, PipelineConfig,
+                       build_parser, main, parse_kv_file, resolve_config)
 from wmera.coarsegrain import load_cache
 from wmera.errors import ArgumentError, StateError, WmeraError
 from wmera.mps import MPS, load_mps, save_mps
@@ -165,6 +165,18 @@ class TestResolveConfig:
         with pytest.raises(ArgumentError, match="cannot parse"):
             resolve_config(self.args_for(cfg_path))
 
+    @pytest.mark.parametrize("settings, key", [
+        ({"chi_data": 2**63}, "chi_data"), ({"n_h2": 2**62}, "n_h2"),
+        ({"n_h2": 64}, "n_h2"), ({"n_d4_layers": 2**62}, "n_d4_layers"),
+        ({"train_overrides": {0: {"chi_max": 2**63}}}, "chi_max")],
+        ids=["chi_data", "n_h2", "n_h2-64", "n_d4_layers", "chi_max@0"])
+    def test_oversized_integer_is_rejected(self, tmp_path, settings, key):
+        """Integers past what a bond extent (int64) or a count of chain
+        halvings can hold are refused before any work, naming the key."""
+        with pytest.raises(ArgumentError, match=key):
+            PipelineConfig(tmp_path / "manifest.json", tmp_path / "out", "regression", {},
+                           **settings)
+
     def test_manifest_is_required(self, tmp_path):
         cfg_path = tmp_path / "bare.cfg"
         cfg_path.write_text("output = out\n")
@@ -203,6 +215,54 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: config key {key!r}: {value!r} is not a finite number\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["chi_max", "chi_max@0"])
+    def test_oversized_chi_max_exits_2(self, tmp_path, capsys, key):
+        cfg_path = regression_workspace(tmp_path)
+        cfg_path.write_text(cfg_path.read_text() + f"{key} = 100000000000000000000\n")
+        assert run_cli("pipeline", "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "chi_max" in err
+        assert not (tmp_path / "out" / "cache").exists()
+
+    @pytest.mark.parametrize("command, output, cache_dir, named", [
+        ("pipeline", "blocker", None, "blocker"),
+        ("pipeline", "blocker/sub", None, "blocker/sub"),
+        ("preprocess", None, "blocker", "blocker/train"),
+    ], ids=["output-is-a-file", "output-under-a-file", "cache-dir-is-a-file"])
+    def test_uncreatable_directory_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                           output, cache_dir, named):
+        """An output or cache directory that cannot be created, as where a
+        file stands in its path, is an error line naming it."""
+        cfg_path = regression_workspace(tmp_path)
+        (tmp_path / "blocker").write_text("a file\n")
+        extra = () if output is None else ("--output", tmp_path / output)
+        if cache_dir is not None:
+            monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / cache_dir))
+        assert run_cli(command, "--config", cfg_path, *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path / named) in err
+        assert (tmp_path / "blocker").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command", ["eval", "finegrain", "train-init"])
+    def test_non_finite_model_exits_3(self, tmp_path, capsys, command):
+        """A model file holding a NaN or inf is refused as it is loaded,
+        naming the file: eval writes no report."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("pipeline", "--config", cfg_path) == 0
+        scale = 1 if command == "finegrain" else 0
+        model = tmp_path / "out" / f"model_scale{scale}.mps"
+        w = load_mps(model)
+        cores = [c.copy() for c in w.cores]
+        cores[-1][0, 1, 0] = np.inf if scale else np.nan
+        save_mps(model, MPS(cores))
+        extra = ("--init", model) if command == "train-init" else ()
+        capsys.readouterr()
+        assert run_cli(command.split("-")[0], "--config", cfg_path,
+                       "--scale", scale, *extra) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}:") and "non-finite" in err
+        assert not (tmp_path / "out" / "eval_scale0.json").exists()
 
     def test_malformed_manifest_exits_3(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)

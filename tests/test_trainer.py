@@ -83,9 +83,10 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         for kwargs in ({"n_sweeps": 0}, {"delta_weights": -1.0}, {"chi_max": 0},
                        {"lam": -0.1}, {"cg_max_iters": 0}, {"init_bond": 0},
-                       {"cg_tol": -1e-3}, {"seed": -1}):
+                       {"cg_tol": -1e-3}, {"seed": -1}, {"chi_max": 2**63}):
             with pytest.raises(ArgumentError):
                 TrainConfig(**kwargs)
+        assert TrainConfig(chi_max=2**63 - 1).chi_max == 2**63 - 1
 
     def test_defaults_are_valid(self):
         cfg = TrainConfig()

@@ -1,0 +1,75 @@
+"""SHA-256 of every file the pipeline writes on the benchmark workloads.
+
+    python3 tools/output_hashes.py WORKDIR [WORKLOAD ...]
+
+Builds each workload of ``bench/workloads.py`` (default: all of them) with
+seed 1 into a fresh ``WORKDIR/<workload>``, replacing what an earlier run
+left there, runs ``wmera preprocess`` then ``wmera pipeline`` in this process
+with the ``src/`` next to this script, and prints ``sha256  path`` for every
+file under each workload's ``out/`` (models, metrics, summary, config
+snapshot, cache manifests and scale files), sorted, paths relative to
+``WORKDIR``.
+
+To check that a change keeps every output byte-identical, run the script
+from both checkouts into the same ``WORKDIR`` and diff the two listings:
+``config.snapshot`` records absolute paths, so the directories must match.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as the benchmark runs the program
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import wmera.cli as cli  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SEED = 1
+
+
+def output_hashes(workdir: Path, name: str) -> list[str]:
+    """Build workload ``name`` under ``workdir``, run it, and list its outputs."""
+    directory = workdir / name
+    shutil.rmtree(directory, ignore_errors=True)
+    config = WORKLOADS[name].build(SEED, directory).config
+    for command in ("preprocess", "pipeline"):
+        log = io.StringIO()
+        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+            code = cli.main([command, "--config", str(config), "--threads", "1"])
+        if code:
+            sys.exit(f"{name}: {command} exited {code}\n{log.getvalue()}")
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(workdir)}"
+            for path in sorted((directory / "out").rglob("*")) if path.is_file()]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workdir", type=Path)
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                        help=f"any of {', '.join(WORKLOADS)} (default: all)")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.workloads) - set(WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}")
+    os.environ.pop(cli.CACHE_ENV_VAR, None)  # the caches go under out/
+    workdir = args.workdir.resolve()
+    for name in args.workloads or WORKLOADS:
+        print("\n".join(output_hashes(workdir, name)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
