@@ -5,6 +5,15 @@ Configuration is a plain key = value file; the --threads, --seed, and
 next to its artifacts, and metrics are JSON lines with one object per sweep.
 Cache location can be redirected with the WMERA_CACHE_DIR environment
 variable.
+
+Each command holds only the scale it works on. A cache is used when its
+manifests pass :func:`_built_manifests` and every scale file they list
+matches its checksum, checked one file at a time; otherwise preprocess and
+pipeline rebuild it, one split at a time, and train and eval refuse it.
+Every scale then comes from disk through ``load_cache``, warm or cold:
+pipeline loads train[s] when scale s starts and test[s] only to evaluate
+it, and drops both before the next scale; train loads train[scale], eval
+the two stacks it scores, and finegrain reads the manifests alone.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from .coarsegrain import (
     CHI_DATA,
     DELTA_DATA,
     LAYER_REVISION,
-    ScaleCache,
+    ScaleData,
+    check_cache_files,
     coarse_grain_dataset,
     fine_grain_weights,
     load_cache,
@@ -298,8 +308,9 @@ def _encode_rows(values: np.ndarray, scaler) -> MPSStack:
 
 
 def _built_manifests(cfg: PipelineConfig, fingerprint: str) -> dict[str, dict]:
-    """Each split's cache manifest, read once: the one rule for whether a
-    cache can be used. Each is sound (else FormatError) and built for
+    """Each split's cache manifest, read once: the manifest half of the one
+    rule for whether a cache can be used (:func:`fresh_manifests` adds the
+    checksums). Each is sound (else FormatError) and built for
     ``fingerprint`` with ``n_d4_layers + 1`` scales, and the test split is
     absent only when the train manifest counts it as empty (else StateError)."""
     manifests = {}
@@ -317,41 +328,56 @@ def _built_manifests(cfg: PipelineConfig, fingerprint: str) -> dict[str, dict]:
     return manifests
 
 
-def load_built_caches(cfg: PipelineConfig,
-                      fingerprint: str) -> tuple[ScaleCache, ScaleCache | None]:
-    """The train and test caches :func:`_built_manifests` accepts; train and
-    eval report the errors it raises, preprocess and pipeline rebuild."""
-    caches = {split: load_cache(cfg.cache_root / split, manifest)
-              for split, manifest in _built_manifests(cfg, fingerprint).items()}
-    return caches["train"], caches.get("test")
+def fresh_manifests(cfg: PipelineConfig, fingerprint: str) -> dict[str, dict]:
+    """The manifests :func:`_built_manifests` accepts, once every scale file
+    they list matches its checksum; train and eval report the errors this
+    raises, preprocess and pipeline rebuild."""
+    manifests = _built_manifests(cfg, fingerprint)
+    for split, manifest in manifests.items():
+        check_cache_files(cfg.cache_root / split, manifest)
+    return manifests
 
 
-def ensure_cache(cfg: PipelineConfig) -> tuple[ScaleCache, ScaleCache | None]:
-    """Load the preprocessing cache, rebuilding it whenever train and eval
-    would refuse it."""
+def _load_scale(cfg: PipelineConfig, manifests: dict[str, dict], split: str,
+                scale: int) -> ScaleData | None:
+    """One scale of one split, read from the cache; None for an absent test split."""
+    if split not in manifests:
+        return None
+    return load_cache(cfg.cache_root / split, manifests[split], scale)
+
+
+def ensure_cache(cfg: PipelineConfig) -> dict[str, dict]:
+    """The manifests of a fresh preprocessing cache, rebuilding it whenever
+    train and eval would refuse it. A build coarse-grains, saves and drops
+    one split at a time, and makes every split's directory before it
+    encodes any."""
     fingerprint = compute_fingerprint(cfg)
     root = cfg.cache_root
     try:
-        caches = load_built_caches(cfg, fingerprint)
+        manifests = fresh_manifests(cfg, fingerprint)
     except (StateError, FormatError, DataError):
         pass
     else:
         print(f"cache up to date at {root}")
-        return caches
+        return manifests
 
     print(f"building cache at {root}")
-    train, test = load_raw_datasets(cfg)
-    scaler = fit_scaler(train[0])
-    caches = {"train": None, "test": None}
-    for split, (values, labels) in (("train", train), ("test", test)):
+    splits = dict(zip(("train", "test"), load_raw_datasets(cfg)))
+    for split, (_, labels) in splits.items():
         if len(labels):
-            caches[split] = coarse_grain_dataset(_encode_rows(values, scaler), labels,
-                                                 cfg.n_d4_layers, cfg.delta_data, cfg.chi_data)
-            save_cache(caches[split], root / split, fingerprint,
-                       len(test[1]) if split == "train" else None)
+            make_dir(root / split)
         elif (root / split).exists():
             shutil.rmtree(root / split)  # a split the manifest no longer has
-    return caches["train"], caches["test"]
+    scaler = fit_scaler(splits["train"][0])
+    manifests = {}
+    for split, (values, labels) in splits.items():
+        if len(labels):
+            cache = coarse_grain_dataset(_encode_rows(values, scaler), labels,
+                                         cfg.n_d4_layers, cfg.delta_data, cfg.chi_data)
+            manifests[split] = save_cache(cache, root / split, fingerprint,
+                                          len(splits["test"][1]) if split == "train" else None)
+            del cache  # dropped before the next split is encoded
+    return manifests
 
 
 def write_snapshot(cfg: PipelineConfig) -> None:
@@ -419,21 +445,22 @@ def _fine_grain(cfg: PipelineConfig, w: MPS, scale: int) -> tuple[MPS, float]:
 
 
 def cmd_preprocess(cfg: PipelineConfig, args) -> int:
-    train_cache, test_cache = ensure_cache(cfg)
-    widths = [sd.n_sites for sd in train_cache.scales]
-    print(f"train: {train_cache.scales[0].n_samples} samples, scale widths {widths}")
-    if test_cache is not None:
-        print(f"test: {test_cache.scales[0].n_samples} samples")
+    manifests = ensure_cache(cfg)
+    scales = manifests["train"]["scales"]
+    print(f"train: {scales[0]['n_samples']} samples, "
+          f"scale widths {[meta['n_sites'] for meta in scales]}")
+    if "test" in manifests:
+        print(f"test: {manifests['test']['scales'][0]['n_samples']} samples")
     return 0
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
     scale = _scale(cfg, args)
-    train_cache, _ = load_built_caches(cfg, compute_fingerprint(cfg))
+    data = _load_scale(cfg, fresh_manifests(cfg, compute_fingerprint(cfg)), "train", scale)
     w0 = None
     if args.init is not None:
         w0 = load_mps(args.init)
-    w, stats = train(train_cache.scales[scale], cfg.train_config(scale), w0=w0, task=cfg.task)
+    w, stats = train(data, cfg.train_config(scale), w0=w0, task=cfg.task)
     _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats)
     save_mps(_model_path(cfg, scale), w)
     print(f"scale {scale}: cost {stats[-1].cost:.6g}, "
@@ -458,32 +485,34 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     scale = _scale(cfg, args)
-    train_cache, test_cache = load_built_caches(cfg, compute_fingerprint(cfg))
+    manifests = fresh_manifests(cfg, compute_fingerprint(cfg))
     w = load_mps(_model_path(cfg, scale))
-    report = _eval_report(cfg, w, scale, train_cache, test_cache)
+    report = _eval_report(cfg, w, scale, _load_scale(cfg, manifests, "train", scale), manifests)
     with atomic_write(cfg.output / f"eval_scale{scale}.json", text=True) as f:
         f.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
-def _eval_report(cfg, w, scale, train_cache, test_cache) -> dict:
+def _eval_report(cfg, w, scale, data: ScaleData, manifests: dict[str, dict]) -> dict:
+    """Metrics of ``w`` on the train scale ``data`` and on the same scale of
+    the test split, which is loaded here and dropped on return."""
+    test = _load_scale(cfg, manifests, "test", scale)
     return {
         "task": cfg.task,
         "scale": scale,
-        "n_sites": train_cache.scales[scale].n_sites,
-        "train_metric": evaluate(w, train_cache.scales[scale], cfg.task),
-        "test_metric": (evaluate(w, test_cache.scales[scale], cfg.task)
-                        if test_cache is not None else None),
+        "n_sites": data.n_sites,
+        "train_metric": evaluate(w, data, cfg.task),
+        "test_metric": evaluate(w, test, cfg.task) if test is not None else None,
     }
 
 
 def cmd_pipeline(cfg: PipelineConfig, args) -> int:
-    train_cache, test_cache = ensure_cache(cfg)
+    manifests = ensure_cache(cfg)
     summary = []
     w = fine_grain = None
     for scale in range(cfg.n_d4_layers, cfg.fine_grain_to - 1, -1):
-        data = train_cache.scales[scale]
+        data = _load_scale(cfg, manifests, "train", scale)
         if w is not None:
             # the coarse scale's final cost against the fine weights' train
             # cost, both with the coarse ridge term: equal when no truncation
@@ -494,7 +523,8 @@ def cmd_pipeline(cfg: PipelineConfig, args) -> int:
         w, stats = train(data, cfg.train_config(scale), w0=w, task=cfg.task)
         _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats, fine_grain)
         save_mps(_model_path(cfg, scale), w)
-        report = _eval_report(cfg, w, scale, train_cache, test_cache)
+        report = _eval_report(cfg, w, scale, data, manifests)
+        del data  # one scale in memory: dropped before the next one loads
         report["final_cost"] = stats[-1].cost
         report["model_file"] = _model_path(cfg, scale).name
         summary.append(report)

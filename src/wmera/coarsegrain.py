@@ -27,18 +27,22 @@ trained weights: conjugate isometries, then the transposed gates through
 the same pair-gate kernel, so fine weights are also centered at site 0.
 
 A dataset is one stack per scale, from encoding through the cache to
-training. The adjacent gates of a layer run once on the scale's whole
-stack; only the wrap stage, whose R factors are the one large
-intermediate (at most half the enlarged chain), runs in chunks of
-consecutive samples whose enlarged stack, counted from the bonds the
-isometries actually leave, would fit ``_CHUNK_BYTES``. A chunk holds at
+training: :func:`coarse_grain_dataset` returns the whole ladder of one
+split, which is saved and dropped, and :func:`load_cache` reads back one
+scale (or, without a level, the ladder). The adjacent gates of a layer run
+once on the scale's whole stack; only the wrap stage, whose R factors are
+the one large intermediate (at most half the enlarged chain), runs in
+chunks of consecutive samples whose enlarged stack, counted from the bonds
+the isometries actually leave, would fit ``_CHUNK_BYTES``. A chunk holds at
 least one sample, and the coarser chunks are joined into the next scale's
 stack. Single states (:func:`apply_layer` and fine-grained weights) run the
 same kernel as a stack of one.
 
 The on-disk cache is a manifest plus one file of state records per scale;
 :mod:`wmera.mps` writes and parses the records straight from and into the
-scale's stack, and this module keeps the manifest.
+scale's stack, and this module keeps the manifest. Every scale file is
+checked against the manifest's checksum when it is loaded, and
+:func:`check_cache_files` checks them all without keeping any.
 """
 
 from __future__ import annotations
@@ -330,7 +334,7 @@ class ScaleData:
     states; ``samples`` views each sample as its own MPS.
     """
 
-    __slots__ = ("stack", "labels")
+    __slots__ = ("stack", "labels", "__weakref__")
 
     def __init__(self, samples: MPSStack | Sequence[MPS], labels):
         if not isinstance(samples, MPSStack):
@@ -405,9 +409,10 @@ _CACHE_FORMAT = "wmera-cache"
 _CACHE_VERSION = 1
 
 
-def save_cache(cache: ScaleCache, directory, fingerprint: str = "", test_samples=None) -> None:
+def save_cache(cache: ScaleCache, directory, fingerprint: str = "", test_samples=None) -> dict:
     """Write the scale files, then the manifest that vouches for them and
-    records the build: the input ``fingerprint`` and a train split's ``test_samples``.
+    records the build: the input ``fingerprint`` and a train split's
+    ``test_samples``; returns the manifest.
     Each scale file is written straight from the scale's stack and hashed
     from the bytes written. An existing manifest is removed first and the
     new one is moved into place only after every scale file is written, so
@@ -443,6 +448,7 @@ def save_cache(cache: ScaleCache, directory, fingerprint: str = "", test_samples
     with atomic_write(manifest_path, text=True) as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
+    return manifest
 
 
 def _is_number(v) -> bool:
@@ -504,29 +510,52 @@ def read_cache_manifest(directory) -> dict:
     return manifest
 
 
-def load_cache(directory, manifest: dict | None = None) -> ScaleCache:
+def _scale_bytes(directory: Path, meta: dict) -> bytes:
+    """The bytes of one scale file; StateError when it is missing, DataError
+    when its checksum disagrees with the manifest entry ``meta``."""
+    path = directory / meta["file"]
+    data = read_file(path, StateError, f"cache file missing: {path}")
+    digest = sha256_hex(data)
+    if digest != meta["sha256"]:
+        raise DataError(f"checksum mismatch for {path}: manifest says "
+                        f"{meta['sha256'][:12]}..., file is {digest[:12]}...")
+    return data
+
+
+def check_cache_files(directory, manifest: dict) -> None:
+    """Check every scale file ``manifest`` lists against its checksum, as
+    :func:`load_cache` would; each file is read, hashed and dropped in turn."""
+    for meta in manifest["scales"]:
+        _scale_bytes(Path(directory), meta)
+
+
+def load_cache(directory, manifest: dict | None = None,
+               level: int | None = None) -> ScaleCache | ScaleData:
     """Load and verify a cache; checksum mismatches are hard errors.
 
     ``manifest`` is the one :func:`read_cache_manifest` returned for
-    ``directory``, read here when not given. Each scale file is read once:
-    its bytes are hashed, then parsed straight into the scale's stack.
+    ``directory``, read here when not given. With a ``level``, only that
+    scale is read and returned, as one ScaleData; without, the whole ladder.
+    Each scale file is read once: its bytes are hashed, then parsed straight
+    into the scale's stack.
     """
     directory = Path(directory)
     if manifest is None:
         manifest = read_cache_manifest(directory)
-    scales = []
-    for meta in manifest["scales"]:
-        path = directory / meta["file"]
-        data = read_file(path, StateError, f"cache file missing: {path}")
-        digest = sha256_hex(data)
-        if digest != meta["sha256"]:
-            raise DataError(f"checksum mismatch for {path}: manifest says "
-                            f"{meta['sha256'][:12]}..., file is {digest[:12]}...")
-        try:
-            st = read_mps_records(data, meta["n_samples"])
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-        if len(st.cores) != meta["n_sites"]:
-            raise FormatError(f"{path}: sample width disagrees with manifest")
-        scales.append(ScaleData(st, manifest["labels"]))
-    return ScaleCache(scales, float(manifest["delta_data"]), manifest["chi_data"])
+    if level is not None:
+        return _read_scale(directory, manifest, level)
+    return ScaleCache([_read_scale(directory, manifest, level)
+                       for level in range(len(manifest["scales"]))],
+                      float(manifest["delta_data"]), manifest["chi_data"])
+
+
+def _read_scale(directory: Path, manifest: dict, level: int) -> ScaleData:
+    meta = manifest["scales"][level]
+    path, data = directory / meta["file"], _scale_bytes(directory, meta)
+    try:
+        st = read_mps_records(data, meta["n_samples"])
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if len(st.cores) != meta["n_sites"]:
+        raise FormatError(f"{path}: sample width disagrees with manifest")
+    return ScaleData(st, manifest["labels"])

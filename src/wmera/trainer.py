@@ -117,7 +117,9 @@ class Environment:
     ``left[j]`` contracts sites < j and ``right[j]`` contracts sites >= j,
     each as an (n, weight bond, sample bond) array over the scale's stacked
     samples, whose sample bonds carry trailing zero padding. Stacks are
-    refreshed lazily in the direction a sweep consumes them.
+    refreshed lazily in the direction a sweep consumes them, and a sweep
+    sets each to None once it has consumed it; ``left[0]`` and
+    ``right[n_sites]``, the edges, stay.
     """
 
     def __init__(self, w: MPS, data: ScaleData):
@@ -456,7 +458,10 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
     """One optimization pass over all bonds, left-to-right or right-to-left.
 
     With a persistent ``env``, alternating passes reuse the stacks built by
-    the previous pass; a fresh environment is filled for the direction.
+    the previous pass; a fresh environment is filled for the direction. A
+    pass drops each stack on the far side of a bond once that bond is done,
+    so the environment holds one stack per bond, and a second pass in the
+    same direction on one ``env`` finds them gone (StateError).
     """
     if direction not in ("lr", "rl"):
         raise ArgumentError(f"direction must be 'lr' or 'rl', got {direction!r}")
@@ -502,10 +507,15 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
         trunc_total += err
         if monitor is not None:
             monitor(SweepEvent(direction, j, c_before, c_solved, c_trunc, err))
+        # the far-side entry this bond consumed is spent: drop it, but keep the edge
         if direction == "lr":
             env.advance_left(w, j)
+            if j + 2 < n_sites:
+                env.right[j + 2] = None
         else:
             env.advance_right(w, j + 1)
+            if j:
+                env.left[j] = None
         final_cost = c_trunc
     stats = SweepStats(
         sweep_index=0,

@@ -7,6 +7,7 @@ import operator
 import os
 import shutil
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -731,6 +732,23 @@ class TestPreprocess:
         assert (stash / "train" / "manifest.json").is_file()
         assert not (tmp_path / "out" / "cache").exists()
 
+    def test_unwritable_cache_dir_is_found_before_encoding(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """A cache directory that cannot be made is an error line naming it,
+        found before any split is coarse-grained."""
+        cfg_path = regression_workspace(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        monkeypatch.setenv(CACHE_ENV_VAR, str(blocker))
+
+        def no_coarse_graining(*args, **kwargs):
+            raise AssertionError("a split was coarse-grained")
+
+        monkeypatch.setattr(wmera.cli, "coarse_grain_dataset", no_coarse_graining)
+        assert run_cli("preprocess", "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker / "train") in err
+
 
 class TestTrainEvalFinegrain:
     def test_command_sequence(self, tmp_path, capsys):
@@ -857,6 +875,82 @@ class TestTrainEvalFinegrain:
         cfg_path = classification_workspace(tmp_path)
         run_cli("preprocess", "--config", cfg_path)
         assert run_cli("finegrain", "--config", cfg_path) == 5
+
+
+class LoadLog:
+    """Every (split, level) that ``wmera.cli.load_cache`` loads, in order,
+    with a weakref to each ScaleData it returns, and each load made while
+    another scale of its split was still in memory."""
+
+    def __init__(self, monkeypatch):
+        self.loads, self.refs, self.crowded = [], [], []
+        load = wmera.cli.load_cache
+
+        def recording(directory, manifest=None, level=None):
+            split = Path(directory).name
+            if self.alive(split):
+                self.crowded.append((split, level))
+            self.loads.append((split, level))
+            out = load(directory, manifest, level)
+            self.refs.append((split, weakref.ref(out)))
+            return out
+
+        monkeypatch.setattr(wmera.cli, "load_cache", recording)
+
+    def alive(self, split: str) -> int:
+        """How many loaded scales of ``split`` are still in memory."""
+        return sum(ref() is not None for owner, ref in self.refs if owner == split)
+
+
+class TestScaleLoading:
+    """Each command holds only the scale it works on: it loads that scale of
+    each split it needs from the cache, and drops it before the next."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_pipeline_loads_each_trained_scale_once(self, tmp_path, capsys, monkeypatch,
+                                                    warm):
+        """Cold or warm, pipeline trains on scales read from the cache, one
+        per split and trained scale, coarsest first; it never loads a scale
+        below fine_grain_to."""
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2")
+                            + "fine_grain_to = 1\n")
+        if warm:
+            assert run_cli("preprocess", "--config", cfg_path) == 0
+        log = LoadLog(monkeypatch)
+        assert run_cli("pipeline", "--config", cfg_path) == 0
+        assert log.loads == [("train", 2), ("test", 2), ("train", 1), ("test", 1)]
+
+    def test_pipeline_holds_one_scale_per_split(self, tmp_path, capsys, monkeypatch):
+        """When a scale loads, no other scale of its split is in memory, and
+        training sees exactly one train scale alive."""
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2"))
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        log = LoadLog(monkeypatch)
+        train, alive_at_train = wmera.cli.train, []
+
+        def counting(*args, **kwargs):
+            alive_at_train.append(log.alive("train"))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(wmera.cli, "train", counting)
+        assert run_cli("pipeline", "--config", cfg_path) == 0
+        assert len(log.loads) == 6 and log.crowded == []
+        assert alive_at_train == [1, 1, 1]
+
+    def test_train_and_eval_load_only_their_scale(self, tmp_path, capsys, monkeypatch):
+        """train --scale k loads train[k] alone; eval --scale k loads the two
+        stacks it scores."""
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2"))
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        log = LoadLog(monkeypatch)
+        assert run_cli("train", "--config", cfg_path, "--scale", "1") == 0
+        assert log.loads == [("train", 1)]
+        log.loads.clear()
+        assert run_cli("eval", "--config", cfg_path, "--scale", "1") == 0
+        assert log.loads == [("train", 1), ("test", 1)]
 
 
 class TestPipeline:

@@ -389,6 +389,21 @@ class TestSweep:
         # a from-scratch evaluation of the same weights
         assert abs(s2.cost - cost(w, data)) < 1e-10 * max(1.0, s2.cost)
 
+    def test_second_pass_in_one_direction_is_refused(self):
+        """A pass drops the stacks it consumed, so a second left-to-right
+        pass on one environment raises instead of solving against right
+        stacks of the weights as they were before the first pass."""
+        rng = np.random.default_rng(49)
+        data = linear_dataset(rng, 5, 15)
+        cfg = TrainConfig(n_sweeps=1, delta_weights=1e-12, chi_max=4, seed=1)
+        w = canonicalize(random_weights(5, cfg), 0)
+        env = Environment(w, data)
+        env.refresh_right(w)
+        w, _ = sweep(w, data, cfg, "lr", env=env)
+        assert env.right[5] is not None and all(r is None for r in env.right[2:5])
+        with pytest.raises(StateError):
+            sweep(w, data, cfg, "lr", env=env)
+
     def test_rollbacks_counted_only_under_truncation(self):
         """Linear targets need bond 2: a cap of 1 forces rollbacks, a cap of
         8 keeps every solved block."""
