@@ -55,8 +55,10 @@ def output_hashes(workdir: Path, name: str) -> list[str]:
             for path in sorted((directory / "out").rglob("*")) if path.is_file()]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def parse_args(argv, doc: str) -> tuple[Path, list[str]]:
+    """``WORKDIR [WORKLOAD ...]``: the resolved work directory and the
+    workloads named (default: all of them)."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("workdir", type=Path)
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help=f"any of {', '.join(WORKLOADS)} (default: all)")
@@ -64,9 +66,13 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.workloads) - set(WORKLOADS))
     if unknown:
         parser.error(f"unknown workload {unknown[0]!r}")
+    return args.workdir.resolve(), args.workloads or list(WORKLOADS)
+
+
+def main(argv=None) -> int:
+    workdir, names = parse_args(argv, __doc__)
     os.environ.pop(cli.CACHE_ENV_VAR, None)  # the caches go under out/
-    workdir = args.workdir.resolve()
-    for name in args.workloads or WORKLOADS:
+    for name in names:
         print("\n".join(output_hashes(workdir, name)))
     return 0
 

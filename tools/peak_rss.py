@@ -5,67 +5,34 @@
 Builds each workload of ``bench/workloads.py`` (default: all of them) with
 seed 1 into a fresh ``WORKDIR/<workload>``, as ``tools/output_hashes.py``
 does, then runs ``wmera preprocess`` (empty cache) and ``wmera pipeline``
-(warm cache), each as a child process with one BLAS thread and the ``src/``
-next to this script, and prints ``workload  command  MB`` per command: the
-child's peak RSS from ``os.wait4``, in MB of 10**6 bytes, as ``bench/run.py``
-reports ``peak_rss_mb``.
+(warm cache) through ``bench/run.py``'s ``_invoke``: each is a child process
+with one BLAS thread and the ``src/`` next to this script. Prints
+``workload  command  MB`` per command, the child's peak RSS from
+``os.wait4`` in MB of 10**6 bytes, as ``bench/run.py`` reports ``peak_rss_mb``.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 import shutil
-import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
-
-from workloads import WORKLOADS  # noqa: E402
-
-SEED = 1
-COMMANDS = ("preprocess", "pipeline")
-
-
-def peak_rss_mb(command: str, config: Path) -> float:
-    """Run one wmera command as a child process and return its peak RSS in MB."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env.pop("WMERA_CACHE_DIR", None)  # the cache goes under out/
-    argv = [sys.executable, "-m", "wmera.cli", command, "--config", str(config),
-            "--threads", "1"]
-    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
-    err = proc.stderr.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
-    if proc.returncode:
-        sys.exit(f"{command} exited {proc.returncode}\n{err.decode(errors='replace')}")
-    return usage.ru_maxrss * 1024 / 1e6
-
-
-def workload_peaks(workdir: Path, name: str, workload=None) -> dict[str, float]:
-    """Build workload ``name`` (or the given ``workload``) under ``workdir``
-    and measure each command."""
-    directory = workdir / name
-    shutil.rmtree(directory, ignore_errors=True)
-    config = (workload or WORKLOADS[name]).build(SEED, directory).config
-    return {command: peak_rss_mb(command, config) for command in COMMANDS}
+# output_hashes puts src/ and bench/ on the path
+from output_hashes import SEED, WORKLOADS, parse_args
+from run import _invoke
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workdir", type=Path)
-    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                        help=f"any of {', '.join(WORKLOADS)} (default: all)")
-    args = parser.parse_args(argv)
-    unknown = sorted(set(args.workloads) - set(WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workload {unknown[0]!r}")
-    workdir = args.workdir.resolve()
-    for name in args.workloads or WORKLOADS:
-        for command, mb in workload_peaks(workdir, name).items():
+    workdir, names = parse_args(argv, __doc__)
+    for name in names:
+        directory = workdir / name
+        shutil.rmtree(directory, ignore_errors=True)
+        config = WORKLOADS[name].build(SEED, directory).config
+        for command in ("preprocess", "pipeline"):
+            log = directory / f"{command}.log"
+            _, code, mb = _invoke(command, config, log)
+            if code:
+                sys.exit(f"{name}: {command} exited {code}\n"
+                         f"{log.read_text(errors='replace')}")
             print(f"{name}  {command}  {mb:.2f}")
     return 0
 
