@@ -168,8 +168,8 @@ def resolve_config(args) -> PipelineConfig:
     train_kwargs: dict[str, object] = {}
     overrides: dict[int, dict] = {}
     for key, value in raw.items():
-        name, _, scale_part = key.partition("@")
-        if scale_part:
+        name, at, scale_part = key.partition("@")
+        if at:  # a per-scale key, even with no scale after the "@"
             if name not in _TRAIN_KEYS:
                 raise ArgumentError(f"unknown per-scale configuration key {key!r}")
             target = overrides.setdefault(_convert(key, scale_part, int), {})
@@ -396,14 +396,10 @@ def write_snapshot(cfg: PipelineConfig) -> None:
 
 
 def _metric_lines(scale: int, stats_list, fine_grain: dict | None = None) -> str:
-    """One JSON line per sweep, the fields of its SweepStats with
-    ``sweep_index`` as ``sweep``, after the scale's fine-graining record when
-    given; deterministic fields only, no wall times."""
-    records = [] if fine_grain is None else [fine_grain]
-    for st in stats_list:
-        record = asdict(st)
-        record["sweep"] = record.pop("sweep_index")
-        records.append(record)
+    """One JSON line per sweep, the fields of its SweepStats, after the
+    scale's fine-graining record when given; deterministic fields only, no
+    wall times."""
+    records = ([] if fine_grain is None else [fine_grain]) + [asdict(st) for st in stats_list]
     return "".join(json.dumps({"scale": scale, **record}, sort_keys=True) + "\n"
                    for record in records)
 

@@ -29,14 +29,14 @@ the same pair-gate kernel, so fine weights are also centered at site 0.
 A dataset is one stack per scale, from encoding through the cache to
 training: :func:`coarse_grain_dataset` returns the whole ladder of one
 split, which is saved and dropped, and :func:`load_cache` reads back one
-scale (or, without a level, the ladder). The adjacent gates of a layer run
-once on the scale's whole stack; only the wrap stage, whose R factors are
-the one large intermediate (at most half the enlarged chain), runs in
-chunks of consecutive samples whose enlarged stack, counted from the bonds
-the isometries actually leave, would fit ``_CHUNK_BYTES``. A chunk holds at
-least one sample, and the coarser chunks are joined into the next scale's
-stack. Single states (:func:`apply_layer` and fine-grained weights) run the
-same kernel as a stack of one.
+scale. The adjacent gates of a layer run once on the scale's whole stack;
+only the wrap stage, whose R factors are the one large intermediate (at
+most half the enlarged chain), runs in chunks of consecutive samples whose
+enlarged stack, counted from the bonds the isometries actually leave,
+would fit ``_CHUNK_BYTES``. A chunk holds at least one sample, and the
+coarser chunks are joined into the next scale's stack. Single states
+(:func:`apply_layer` and fine-grained weights) run the same kernel as a
+stack of one.
 
 The on-disk cache is a manifest plus one file of state records per scale;
 :mod:`wmera.mps` writes and parses the records straight from and into the
@@ -529,28 +529,13 @@ def check_cache_files(directory, manifest: dict) -> None:
         _scale_bytes(Path(directory), meta)
 
 
-def load_cache(directory, manifest: dict | None = None,
-               level: int | None = None) -> ScaleCache | ScaleData:
-    """Load and verify a cache; checksum mismatches are hard errors.
-
-    ``manifest`` is the one :func:`read_cache_manifest` returned for
-    ``directory``, read here when not given. With a ``level``, only that
-    scale is read and returned, as one ScaleData; without, the whole ladder.
-    Each scale file is read once: its bytes are hashed, then parsed straight
-    into the scale's stack.
+def load_cache(directory, manifest: dict, level: int) -> ScaleData:
+    """Scale ``level`` of the cache at ``directory``, whose ``manifest`` is
+    the one :func:`read_cache_manifest` returned; a checksum mismatch is a
+    hard error. The scale file is read once: its bytes are hashed, then
+    parsed straight into the scale's stack.
     """
-    directory = Path(directory)
-    if manifest is None:
-        manifest = read_cache_manifest(directory)
-    if level is not None:
-        return _read_scale(directory, manifest, level)
-    return ScaleCache([_read_scale(directory, manifest, level)
-                       for level in range(len(manifest["scales"]))],
-                      float(manifest["delta_data"]), manifest["chi_data"])
-
-
-def _read_scale(directory: Path, manifest: dict, level: int) -> ScaleData:
-    meta = manifest["scales"][level]
+    directory, meta = Path(directory), manifest["scales"][level]
     path, data = directory / meta["file"], _scale_bytes(directory, meta)
     try:
         st = read_mps_records(data, meta["n_samples"])

@@ -89,7 +89,7 @@ class SweepStats:
     ``cg_breaks`` counts the solves a curvature break ended.
     """
 
-    sweep_index: int
+    sweep: int
     cost: float
     max_bond: int
     train_metric: float
@@ -119,7 +119,9 @@ class Environment:
     samples, whose sample bonds carry trailing zero padding. Stacks are
     refreshed lazily in the direction a sweep consumes them, and a sweep
     sets each to None once it has consumed it; ``left[0]`` and
-    ``right[n_sites]``, the edges, stay.
+    ``right[n_sites]``, the edges, stay. Bond j reads ``left[j]`` and
+    ``right[j + 2]``, so ``left[n_sites - 1]`` and ``right[1]`` are never
+    built.
     """
 
     def __init__(self, w: MPS, data: ScaleData):
@@ -132,15 +134,17 @@ class Environment:
         self.left[0] = edge
         self.right[self.n_sites] = edge
 
-    def refresh_right(self, w: MPS, down_to: int = 1) -> None:
-        """Recompute right[j] for all j >= down_to from the current cores."""
+    def refresh_right(self, w: MPS, down_to: int = 2) -> None:
+        """Recompute right[j] for all j >= down_to from the current cores;
+        by default every entry a window reads."""
         for j in range(self.n_sites - 1, down_to - 1, -1):
             self.advance_right(w, j)
 
     def refresh_left(self, w: MPS, up_to: int | None = None) -> None:
-        """Recompute left[j] for all j <= up_to from the current cores."""
+        """Recompute left[j] for all j <= up_to from the current cores;
+        by default every entry a window reads."""
         if up_to is None:
-            up_to = self.n_sites - 1
+            up_to = self.n_sites - 2
         for j in range(up_to):
             self.advance_left(w, j)
 
@@ -452,16 +456,18 @@ def _metric_from_outputs(f: np.ndarray, y: np.ndarray, task: str) -> float:
     raise ArgumentError(f"unknown task {task!r}")
 
 
-def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
-          env: Environment | None = None, task: str = "regression",
+def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str, env: Environment,
+          task: str = "regression",
           monitor: Callable[[SweepEvent], None] | None = None) -> tuple[MPS, SweepStats]:
     """One optimization pass over all bonds, left-to-right or right-to-left.
 
-    With a persistent ``env``, alternating passes reuse the stacks built by
-    the previous pass; a fresh environment is filled for the direction. A
-    pass drops each stack on the far side of a bond once that bond is done,
-    so the environment holds one stack per bond, and a second pass in the
-    same direction on one ``env`` finds them gone (StateError).
+    ``w`` must be centered at the pass's first site (0 for "lr", the last
+    for "rl"), else StateError, and ``env`` must hold the stacks of ``w``
+    that the pass reads first, as alternating passes leave them. A pass
+    builds only the stacks the next window reads and drops each stack on
+    the far side of a bond once that bond is done, so the environment holds
+    one stack per bond, and a second pass in the same direction on one
+    ``env`` finds them gone (StateError).
     """
     if direction not in ("lr", "rl"):
         raise ArgumentError(f"direction must be 'lr' or 'rl', got {direction!r}")
@@ -469,13 +475,9 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
     if n_sites < 2:
         raise ArgumentError("sweeping needs at least two sites")
     start = 0 if direction == "lr" else n_sites - 1
-    w = canonicalize(w, start)
-    if env is None:
-        env = Environment(w, data)
-        if direction == "lr":
-            env.refresh_right(w)
-        else:
-            env.refresh_left(w)
+    if w.ortho_center != start:
+        raise StateError(f"a {direction!r} pass needs the orthogonality center at "
+                         f"{start}, found {w.ortho_center}")
     y = data.labels
     lam = cfg.lam
     y_scale = float(y.dot(y)) / len(y)
@@ -507,18 +509,17 @@ def sweep(w: MPS, data: ScaleData, cfg: TrainConfig, direction: str = "lr",
         trunc_total += err
         if monitor is not None:
             monitor(SweepEvent(direction, j, c_before, c_solved, c_trunc, err))
-        # the far-side entry this bond consumed is spent: drop it, but keep the edge
-        if direction == "lr":
+        # extend the near side for the next bond and drop the far-side entry
+        # this bond consumed; the last bond of a pass does neither
+        if direction == "lr" and j + 2 < n_sites:
             env.advance_left(w, j)
-            if j + 2 < n_sites:
-                env.right[j + 2] = None
-        else:
+            env.right[j + 2] = None
+        elif direction == "rl" and j:
             env.advance_right(w, j + 1)
-            if j:
-                env.left[j] = None
+            env.left[j] = None
         final_cost = c_trunc
     stats = SweepStats(
-        sweep_index=0,
+        sweep=0,
         cost=final_cost,
         max_bond=w.max_bond,
         train_metric=_metric_from_outputs(phi @ merged, y, task),
@@ -563,7 +564,7 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
             w, forth = sweep(w, data, cfg, "lr", env, task, monitor)
             w, back = sweep(w, data, cfg, "rl", env, task, monitor)
             stats.append(replace(
-                back, sweep_index=k,
+                back, sweep=k,
                 truncated_weight=forth.truncated_weight + back.truncated_weight,
                 rollbacks=forth.rollbacks + back.rollbacks,
                 cg_iters=forth.cg_iters + back.cg_iters,

@@ -20,7 +20,7 @@ import wmera.coarsegrain
 import wmera.mps
 from wmera.cli import (_PIPELINE_KEYS, _TRAIN_KEYS, CACHE_ENV_VAR, PipelineConfig,
                        build_parser, main, parse_kv_file, resolve_config)
-from wmera.coarsegrain import load_cache
+from wmera.coarsegrain import read_cache_manifest
 from wmera.errors import ArgumentError, StateError, WmeraError
 from wmera.mps import MPS, load_mps, save_mps
 from wmera.trainer import random_weights
@@ -155,7 +155,8 @@ class TestResolveConfig:
         for line, match in [("pad_to@1 = 8", "unknown per-scale"),
                             ("chi_max@7 = 2", "scale 7, outside 0..1"),
                             ("n_sweeps@-1 = 9", "scale -1, outside 0..1"),
-                            ("n_sweeps@0 = 0", "scale 0: n_sweeps must be >= 1")]:
+                            ("n_sweeps@0 = 0", "scale 0: n_sweeps must be >= 1"),
+                            ("chi_max@ = 2", "cannot parse")]:
             cfg_path.write_text(CLASS_CONFIG + line + "\n")
             with pytest.raises(ArgumentError, match=match):
                 resolve_config(self.args_for(cfg_path))
@@ -195,6 +196,13 @@ class TestExitCodes:
         cfg_path.write_text(CLASS_CONFIG + "bogus = 1\n")
         assert run_cli("preprocess", "--config", cfg_path) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_config_without_output_exits_2(self, tmp_path, capsys):
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG.replace("output = out\n", ""))
+        assert run_cli("preprocess", "--config", cfg_path) == 2
+        assert capsys.readouterr().err.startswith("error: configuration must set 'output'")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [(), ("--seed", "-3")], ids=["key", "flag"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, extra):
@@ -288,9 +296,14 @@ class TestExitCodes:
         (regression_workspace, lambda m: m.update(p="abc")),
         (regression_workspace, lambda m: m.update(series=["series.csv"])),
         (regression_workspace, lambda m: m.update(column=0)),
+        (regression_workspace, lambda m: m.update(fit_range=[30, 10])),
+        (regression_workspace, lambda m: m.update(fit_range=[8, 8 + m["p"] - 1])),
+        (classification_workspace,
+         lambda m: m.update(samples=[dict(s, split="test") for s in m["samples"]])),
     ], ids=["label-not-a-number", "sample-is-a-string", "path-not-a-string",
             "top-level-list", "fit-range-of-one", "fit-range-of-strings",
-            "p-not-a-number", "series-not-a-string", "column-not-a-string"])
+            "p-not-a-number", "series-not-a-string", "column-not-a-string",
+            "fit-range-reversed", "fit-range-without-a-window", "no-training-clip"])
     def test_mistyped_manifest_field_exits_3(self, tmp_path, capsys, workspace, mutate):
         cfg_path = workspace(tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -672,7 +685,7 @@ class TestPreprocess:
         with pytest.raises(OSError):
             run_cli("preprocess", "--config", cfg_path)
         with pytest.raises(StateError):
-            load_cache(tmp_path / "out" / "cache" / "train")
+            read_cache_manifest(tmp_path / "out" / "cache" / "train")
         assert run_cli("train", "--config", cfg_path) == 5
 
         monkeypatch.setattr(wmera.coarsegrain, "write_mps_records", write)
@@ -830,6 +843,12 @@ class TestTrainEvalFinegrain:
                 assert run_cli(command, "--config", cfg_path, "--scale", scale) == 2
                 assert capsys.readouterr().err.startswith(f"error: scale {scale} not in cache")
 
+    def test_finegrain_of_the_finest_scale_exits_2(self, tmp_path, capsys):
+        """Scale 0 has no finer scale to project onto."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("finegrain", "--config", cfg_path, "--scale", "0") == 2
+        assert capsys.readouterr().err.startswith("error: finegrain needs --scale >= 1")
+
     def test_model_of_a_dropped_scale_exits_2(self, tmp_path, capsys):
         """A model file outlives a cut in n_d4_layers or n_h2; eval and
         finegrain refuse its scale rather than read it against a cache of
@@ -886,7 +905,7 @@ class LoadLog:
         self.loads, self.refs, self.crowded = [], [], []
         load = wmera.cli.load_cache
 
-        def recording(directory, manifest=None, level=None):
+        def recording(directory, manifest, level):
             split = Path(directory).name
             if self.alive(split):
                 self.crowded.append((split, level))

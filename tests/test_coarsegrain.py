@@ -447,6 +447,13 @@ class TestStackedKernel:
         np.testing.assert_allclose(out.to_dense(), base.to_dense(), atol=1e-12)
 
 
+def load_scales(directory) -> list[ScaleData]:
+    """Every scale of the cache at ``directory``, finest first, read as the
+    commands read them: the manifest once, then one scale at a time."""
+    manifest = read_cache_manifest(directory)
+    return [load_cache(directory, manifest, level) for level in range(len(manifest["scales"]))]
+
+
 class TestCachePersistence:
     def _make_cache(self):
         rng = np.random.default_rng(30)
@@ -457,10 +464,10 @@ class TestCachePersistence:
         cache = self._make_cache()
         save_cache(cache, tmp_path / "c", fingerprint="abc123")
         assert read_cache_manifest(tmp_path / "c")["fingerprint"] == "abc123"
-        loaded = load_cache(tmp_path / "c")
-        assert len(loaded.scales) == 2
-        np.testing.assert_array_equal(loaded.scales[0].labels, cache.scales[0].labels)
-        for sa, sb in zip(cache.scales, loaded.scales):
+        loaded = load_scales(tmp_path / "c")
+        assert len(loaded) == 2
+        np.testing.assert_array_equal(loaded[0].labels, cache.scales[0].labels)
+        for sa, sb in zip(cache.scales, loaded):
             for ma, mb in zip(sa.samples, sb.samples):
                 for ca, cb in zip(ma.cores, mb.cores):
                     np.testing.assert_array_equal(ca, cb)
@@ -472,18 +479,18 @@ class TestCachePersistence:
         data[-1] ^= 0x01
         victim.write_bytes(bytes(data))
         with pytest.raises(DataError):
-            load_cache(tmp_path / "c")
+            load_scales(tmp_path / "c")
 
     def test_missing_cache_is_state_error(self, tmp_path):
         with pytest.raises(StateError):
-            load_cache(tmp_path / "nope")
+            load_scales(tmp_path / "nope")
 
     def test_bad_manifest_json(self, tmp_path):
         d = tmp_path / "c"
         save_cache(self._make_cache(), d)
         (d / "manifest.json").write_text("{broken", encoding="utf-8")
         with pytest.raises(FormatError):
-            load_cache(d)
+            load_scales(d)
 
     def test_foreign_manifest_rejected(self, tmp_path):
         d = tmp_path / "c"
@@ -491,7 +498,7 @@ class TestCachePersistence:
         (d / "manifest.json").write_text(json.dumps({"format": "other"}),
                                          encoding="utf-8")
         with pytest.raises(FormatError):
-            load_cache(d)
+            load_scales(d)
 
     def test_scale_width_validation(self):
         rng = np.random.default_rng(31)
@@ -545,7 +552,7 @@ class TestCacheReader:
         with tempfile.TemporaryDirectory() as tmp:
             save_cache(ScaleCache([ScaleData(st_in, np.arange(n_samples))]), tmp)
             assert (Path(tmp) / "scale_000.bin").read_bytes() == want
-            got = load_cache(tmp).scales[0].stack
+            got = load_scales(tmp)[0].stack
         np.testing.assert_array_equal(got.bonds, st_in.bonds)
         assert len(got.cores) == n_sites
         for a, b in zip(got.cores, st_in.cores):
@@ -583,9 +590,9 @@ class TestCacheReader:
             if kind in ("truncate", "append"):
                 with pytest.raises(FormatError, match="truncated" if kind == "truncate"
                                    else "after the last state record"):
-                    load_cache(tmp)
+                    load_scales(tmp)
             else:
                 try:
-                    load_cache(tmp)
+                    load_scales(tmp)
                 except (FormatError, DataError):
                     pass

@@ -99,6 +99,20 @@ class TestReadWav:
         with pytest.raises(FormatError, match="codec"):
             read_wav(p)
 
+    def test_short_fmt_chunk_is_rejected(self, tmp_path):
+        p = tmp_path / "s.wav"
+        fmt = struct.pack("<HHI", 1, 1, 8000)  # cut off before the byte rate
+        chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 2)
+        p.write_bytes(b"RIFF" + struct.pack("<I", 6 + len(chunks)) + b"WAVE" + chunks + b"\0\0")
+        with pytest.raises(FormatError, match=r"fmt chunk at byte 12 too short \(8 bytes\)"):
+            read_wav(p)
+
+    def test_zero_channels_is_rejected(self, tmp_path):
+        p = tmp_path / "c.wav"
+        p.write_bytes(wav_bytes([0, 1], channels=0))
+        with pytest.raises(FormatError, match="zero channels"):
+            read_wav(p)
+
     def test_eight_bit_depth_is_rejected(self, tmp_path):
         p = tmp_path / "b.wav"
         p.write_bytes(wav_bytes([0], bits=8))
@@ -151,6 +165,18 @@ class TestReadCsv:
         p.write_text("")
         with pytest.raises(DataError, match="no values"):
             read_series_csv(p)
+
+    def test_empty_file_with_a_column_needs_a_header(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("")
+        with pytest.raises(FormatError, match="expected a header row"):
+            read_series_csv(p, column="temp")
+
+    def test_row_without_the_named_column_names_the_line(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("day,temp\n1,14.5\n2\n")
+        with pytest.raises(FormatError, match="line 3 has no field 1"):
+            read_series_csv(p, column="temp")
 
     @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e400"])
     def test_non_finite_value_names_the_line(self, tmp_path, cell):

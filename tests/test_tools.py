@@ -11,14 +11,15 @@ OUTPUT_HASHES = TOOLS / "output_hashes.py"
 
 
 def test_output_hashes_repeat(tmp_path):
-    """Two runs into one work directory list the same 11 files of
-    reg-short-windows (two cache splits of two scales, models, metrics,
-    summary and snapshot) with the same hashes."""
+    """Two runs into one work directory list the same 13 files of
+    reg-short-windows (two cache splits of two scales, models, the scale-0
+    warm start, metrics, summary, the scale-0 evaluation report and
+    snapshot) with the same hashes."""
     listings = [subprocess.run([sys.executable, OUTPUT_HASHES, tmp_path, "reg-short-windows"],
                                capture_output=True, text=True, check=True).stdout
                 for _ in range(2)]
     lines = listings[0].splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 13
     assert all(line.split("  ")[1].startswith("reg-short-windows/out/") for line in lines)
     assert listings[1] == listings[0]
 

@@ -41,6 +41,15 @@ def linear_dataset(rng, n_sites, n_samples, coeffs=None, bias=0.0):
     return ScaleData(samples, np.array(ys))
 
 
+def lr_start(w, data):
+    """``w`` centered at site 0 and the environment a left-to-right pass
+    reads first, as ``train`` hands them to ``sweep``."""
+    w = canonicalize(w, 0)
+    env = Environment(w, data)
+    env.refresh_right(w)
+    return w, env
+
+
 def mixed_bond_mps(n_sites, rng):
     """Random chain whose every interior bond is drawn from 1-4."""
     dims = [1] + list(rng.integers(1, 5, n_sites - 1)) + [1]
@@ -369,9 +378,9 @@ class TestSweep:
         rng = np.random.default_rng(48)
         data = linear_dataset(rng, 6, 25)
         cfg = TrainConfig(n_sweeps=2, delta_weights=1e-12, chi_max=6, seed=0)
-        w = random_weights(6, cfg)
+        w, env = lr_start(random_weights(6, cfg), data)
         events = []
-        w, stats = sweep(w, data, cfg, "lr", monitor=events.append)
+        w, stats = sweep(w, data, cfg, "lr", env, monitor=events.append)
         for ev in events:
             assert ev.cost_solved <= ev.cost_before + 1e-12
             assert ev.cost_truncated <= ev.cost_solved + 1e-8
@@ -411,7 +420,8 @@ class TestSweep:
         rollbacks = {}
         for chi in (1, 8):
             cfg = TrainConfig(delta_weights=1e-12, chi_max=chi, seed=0)
-            _, stats = sweep(random_weights(6, cfg), data, cfg, "lr")
+            w, env = lr_start(random_weights(6, cfg), data)
+            _, stats = sweep(w, data, cfg, "lr", env)
             rollbacks[chi] = stats.rollbacks
             assert 0 < stats.cg_iters <= 5 * cfg.cg_max_iters
         assert rollbacks[1] > 0 and rollbacks[8] == 0
@@ -421,9 +431,9 @@ class TestSweep:
         it was: one SVD per bond update, rollbacks included."""
         data = linear_dataset(np.random.default_rng(48), 6, 25)
         cfg = TrainConfig(delta_weights=1e-12, chi_max=1, seed=0)
-        w = random_weights(6, cfg)
+        w, env = lr_start(random_weights(6, cfg), data)
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            _, stats = sweep(w, data, cfg, "lr")
+            _, stats = sweep(w, data, cfg, "lr", env)
         assert stats.rollbacks > 0
         assert svd.call_count == len(w) - 1
 
@@ -441,8 +451,21 @@ class TestSweep:
         rng = np.random.default_rng(50)
         data = linear_dataset(rng, 4, 5)
         cfg = TrainConfig()
+        w, env = lr_start(random_weights(4, cfg), data)
         with pytest.raises(ArgumentError):
-            sweep(random_weights(4, cfg), data, cfg, "up")
+            sweep(w, data, cfg, "up", env)
+
+    @pytest.mark.parametrize("direction, center", [("lr", 5), ("lr", None), ("rl", 0)])
+    def test_refuses_weights_off_the_pass_start(self, direction, center):
+        """The environment holds the stacks of the weights as given, so a
+        pass refuses weights not centered at its first site rather than
+        move the center and solve against stale stacks."""
+        data = linear_dataset(np.random.default_rng(50), 6, 8)
+        cfg = TrainConfig(seed=0)
+        w, env = lr_start(random_weights(6, cfg), data)
+        w = MPS(w.cores) if center is None else canonicalize(w, center)
+        with pytest.raises(StateError, match="orthogonality center"):
+            sweep(w, data, cfg, direction, env)
 
 
 class TestTrain:
@@ -481,13 +504,29 @@ class TestTrain:
         cfg = TrainConfig(n_sweeps=3, chi_max=4, seed=4)
         w, stats = train(data, cfg)
         assert len(stats) == 3
-        assert [s.sweep_index for s in stats] == [0, 1, 2]
+        assert [s.sweep for s in stats] == [0, 1, 2]
         for s in stats:
             assert s.max_bond <= 4
             assert s.truncated_weight >= 0.0
             assert 0 <= s.rollbacks <= 6  # 3 bonds, both directions
             assert 0 <= s.cg_iters <= 6 * cfg.cg_max_iters
         assert stats[0].cg_iters > 0
+
+    @pytest.mark.parametrize("n_sites, n_sweeps", [(2, 1), (3, 2), (6, 1), (6, 3)])
+    def test_builds_only_the_stacks_windows_read(self, n_sites, n_sweeps):
+        """Bond j reads left[j] and right[j + 2], so training an n-site scale
+        takes n - 2 environment steps to start and n - 2 per pass, and never
+        builds right[1] or left[n - 1]."""
+        data = linear_dataset(np.random.default_rng(56), n_sites, 10)
+        cfg = TrainConfig(n_sweeps=n_sweeps, chi_max=4, seed=6)
+        with mock.patch.object(Environment, "advance_left", autospec=True,
+                               side_effect=Environment.advance_left) as left, \
+                mock.patch.object(Environment, "advance_right", autospec=True,
+                                  side_effect=Environment.advance_right) as right:
+            train(data, cfg)
+        assert left.call_count + right.call_count == (n_sites - 2) * (1 + 2 * n_sweeps)
+        assert n_sites - 2 not in {call.args[2] for call in left.call_args_list}
+        assert 1 not in {call.args[2] for call in right.call_args_list}
 
     def test_chi_cap_respected(self):
         rng = np.random.default_rng(54)

@@ -4,11 +4,13 @@
 
 Builds each workload of ``bench/workloads.py`` (default: all of them) with
 seed 1 into a fresh ``WORKDIR/<workload>``, replacing what an earlier run
-left there, runs ``wmera preprocess`` then ``wmera pipeline`` in this process
-with the ``src/`` next to this script, and prints ``sha256  path`` for every
-file under each workload's ``out/`` (models, metrics, summary, config
-snapshot, cache manifests and scale files), sorted, paths relative to
-``WORKDIR``.
+left there, and runs in this process, with the ``src/`` next to this script,
+``wmera preprocess`` and ``wmera pipeline``, then the step commands on the
+finest trained scale f: ``finegrain --scale f+1``, ``train --scale f --init``
+with the warm start that wrote, and ``eval --scale f``. It prints
+``sha256  path`` for every file under each workload's ``out/`` (models, warm
+start, metrics, summary, evaluation report, config snapshot, cache manifests
+and scale files), sorted, paths relative to ``WORKDIR``.
 
 To check that a change keeps every output byte-identical, run the script
 from both checkouts into the same ``WORKDIR`` and diff the two listings:
@@ -44,13 +46,17 @@ def output_hashes(workdir: Path, name: str) -> list[str]:
     """Build workload ``name`` under ``workdir``, run it, and list its outputs."""
     directory = workdir / name
     shutil.rmtree(directory, ignore_errors=True)
-    config = WORKLOADS[name].build(SEED, directory).config
-    for command in ("preprocess", "pipeline"):
+    inputs = WORKLOADS[name].build(SEED, directory)
+    f = min(inputs.trained_scales)
+    init = directory / "out" / f"model_scale{f}.init.mps"
+    for command in (["preprocess"], ["pipeline"], ["finegrain", "--scale", f + 1],
+                    ["train", "--scale", f, "--init", init], ["eval", "--scale", f]):
         log = io.StringIO()
         with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-            code = cli.main([command, "--config", str(config), "--threads", "1"])
+            code = cli.main([*map(str, command), "--config", str(inputs.config),
+                             "--threads", "1"])
         if code:
-            sys.exit(f"{name}: {command} exited {code}\n{log.getvalue()}")
+            sys.exit(f"{name}: {command[0]} exited {code}\n{log.getvalue()}")
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(workdir)}"
             for path in sorted((directory / "out").rglob("*")) if path.is_file()]
 
