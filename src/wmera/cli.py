@@ -456,11 +456,13 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     w0 = None
     if args.init is not None:
         w0 = load_mps(args.init)
-    w, stats = train(data, cfg.train_config(scale), w0=w0, task=cfg.task)
+    tc = cfg.train_config(scale)
+    w, stats = train(data, tc, w0=w0, task=cfg.task)
     _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats)
     save_mps(_model_path(cfg, scale), w)
     print(f"scale {scale}: cost {stats[-1].cost:.6g}, "
-          f"train_metric {stats[-1].train_metric:.6g} -> {_model_path(cfg, scale)}")
+          f"train_metric {stats[-1].train_metric:.6g} -> {_model_path(cfg, scale)}, "
+          f"{len(stats)} of {tc.n_sweeps} sweeps")
     return 0
 
 
@@ -516,7 +518,8 @@ def cmd_pipeline(cfg: PipelineConfig, args) -> int:
             fine_grain = {"finegrain_from": scale + 1, "truncated_weight": err,
                           "cost_before": stats[-1].cost,
                           "cost_after": cost(w, data, cfg.train_config(scale + 1).lam)}
-        w, stats = train(data, cfg.train_config(scale), w0=w, task=cfg.task)
+        tc = cfg.train_config(scale)
+        w, stats = train(data, tc, w0=w, task=cfg.task)
         _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats, fine_grain)
         save_mps(_model_path(cfg, scale), w)
         report = _eval_report(cfg, w, scale, data, manifests)
@@ -526,7 +529,8 @@ def cmd_pipeline(cfg: PipelineConfig, args) -> int:
         summary.append(report)
         print(f"scale {scale}: train_metric {report['train_metric']:.6g}"
               + (f", test_metric {report['test_metric']:.6g}"
-                 if report["test_metric"] is not None else ""))
+                 if report["test_metric"] is not None else "")
+              + f", {len(stats)} of {tc.n_sweeps} sweeps")
     payload = {"task": cfg.task, "scales": summary}
     with atomic_write(cfg.output / "summary.json", text=True) as f:
         f.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")

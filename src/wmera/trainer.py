@@ -9,7 +9,8 @@ Each bond update merges two weight cores into a block, solves the local
 least-squares problem with conjugate gradient on the normal equations, and
 re-splits with a truncated SVD, absorbing the singular values toward the
 next bond. Environment stacks keep one full sweep linear in the chain
-length.
+length. Training sweeps back and forth until a sweep's returning pass stops
+lowering the cost, at most ``n_sweeps`` times.
 
 The solve runs in sample space when a bond's n samples have at most half as
 many coordinates (n + 1) as the block has entries D: every CG iterate is
@@ -48,7 +49,9 @@ class TrainConfig:
 
     ``delta_weights`` is the absolute singular-value threshold of weight
     splits and ``chi_max`` the hard bond cap; ``lam`` is the ridge
-    coefficient. A "sweep" is one full back-and-forth pass.
+    coefficient. A "sweep" is one full back-and-forth pass, and
+    ``n_sweeps`` caps their number: training stops earlier once a sweep
+    converges (see :func:`train`).
     """
 
     n_sweeps: int = 5
@@ -304,6 +307,10 @@ def _sample_basis(n: int, size: int) -> bool:
 # block finishes the solve.
 _RESOLVED = 1e6 * np.finfo(np.float64).eps
 
+# train stops after a sweep whose returning pass lowered the cost by no more
+# than this fraction of the cost its forward pass left
+_SWEEP_TOL = 1e-6
+
 
 def _cg(op, metric: np.ndarray | None, r: np.ndarray, rr_stop: float, anorm: float,
         max_iters: int) -> tuple[np.ndarray, int, str]:
@@ -546,12 +553,17 @@ def random_weights(n_sites: int, cfg: TrainConfig, site_dim: int = 2) -> MPS:
 def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
           task: str = "regression",
           monitor: Callable[[SweepEvent], None] | None = None) -> tuple[MPS, list[SweepStats]]:
-    """Run cfg.n_sweeps full back-and-forth sweeps; returns weights and stats.
+    """Run full back-and-forth sweeps until one converges, at most
+    cfg.n_sweeps; returns weights centered at site 0 and stats.
 
-    Starts from ``w0`` when given, otherwise from a seeded random chain.
-    One SweepStats entry is emitted per full sweep, measured after its
-    returning pass. An overflow anywhere in training, as from a label whose
-    square is past the float64 range, is a NumericError.
+    A sweep has converged when its returning pass lowered the cost by no
+    more than ``_SWEEP_TOL`` relative to the cost its forward pass left; a
+    rise, or a cost of 0, counts as no drop. Starts from ``w0`` when given,
+    otherwise from a seeded random chain. One SweepStats entry is emitted
+    per full sweep, measured after its returning pass, so fewer entries than
+    ``n_sweeps`` mean the run stopped on convergence. An overflow anywhere
+    in training, as from a label whose square is past the float64 range, is
+    a NumericError.
     """
     _metric_from_outputs(np.zeros(1), np.zeros(1), task)  # validate the task name
     w = w0 if w0 is not None else random_weights(data.n_sites, cfg)
@@ -569,6 +581,8 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
                 rollbacks=forth.rollbacks + back.rollbacks,
                 cg_iters=forth.cg_iters + back.cg_iters,
                 cg_breaks=forth.cg_breaks + back.cg_breaks))
+            if not back.cost < forth.cost * (1.0 - _SWEEP_TOL):
+                break
     return w, stats
 
 

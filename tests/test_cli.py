@@ -766,10 +766,14 @@ class TestPreprocess:
 class TestTrainEvalFinegrain:
     def test_command_sequence(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
+        # one CG step per solve: no sweep converges, so train runs all n_sweeps = 3
+        cfg_path.write_text(CLASS_CONFIG.replace("cg_max_iters = 20", "cg_max_iters = 1"))
         out = tmp_path / "out"
         assert run_cli("preprocess", "--config", cfg_path) == 0
 
+        capsys.readouterr()
         assert run_cli("train", "--config", cfg_path) == 0
+        assert capsys.readouterr().out.endswith(", 3 of 3 sweeps\n")
         assert (out / "model_scale1.mps").is_file()
         lines = (out / "metrics.jsonl").read_text().strip().splitlines()
         assert len(lines) == 3
@@ -793,7 +797,8 @@ class TestTrainEvalFinegrain:
 
     def test_retraining_a_scale_keeps_other_scales_metrics(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
-        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2"))
+        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2")
+                            .replace("cg_max_iters = 20", "cg_max_iters = 1"))
         metrics = tmp_path / "out" / "metrics.jsonl"
         assert run_cli("preprocess", "--config", cfg_path) == 0
         for scale in ("2", "1", "1"):
@@ -802,6 +807,24 @@ class TestTrainEvalFinegrain:
         assert [(r["scale"], r["sweep"]) for r in records] == [
             (2, 0), (2, 1), (2, 2), (1, 0), (1, 1), (1, 2)]
         assert not (tmp_path / "out" / "metrics.jsonl.partial").exists()
+
+    def test_stdout_says_how_many_sweeps_each_scale_ran(self, tmp_path, capsys):
+        """A scale whose line reads fewer sweeps than its cap stopped on
+        convergence, and its record count in metrics.jsonl says the same."""
+        cfg_path = classification_workspace(tmp_path)
+        cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2")
+                            + "fine_grain_to = 0\nn_sweeps@0 = 4\n")
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", cfg_path) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("scale ")]
+        records = [json.loads(line) for line in
+                   (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()]
+        runs = {scale: sum(r["scale"] == scale and "sweep" in r for r in records)
+                for scale in (2, 1, 0)}
+        assert runs[2] < 3  # the toy scale 2 converges before the cap
+        assert [line.rsplit(", ", 1)[1] for line in lines] == [
+            f"{runs[2]} of 3 sweeps", f"{runs[1]} of 3 sweeps", f"{runs[0]} of 4 sweeps"]
 
     def test_failed_model_write_keeps_the_previous_model(self, tmp_path, capsys,
                                                          monkeypatch):

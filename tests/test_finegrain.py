@@ -145,8 +145,11 @@ class TestMultiscaleSchedule:
     fine-grain and retrain at each finer scale down to ``fine_grain_to``."""
 
     def run_pipeline(self, tmp_path, extra_config):
+        """One CG step per solve, so every sweep still lowers the cost and
+        each scale runs its configured ``n_sweeps``."""
         cfg_path = classification_workspace(tmp_path)
         cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2")
+                            .replace("cg_max_iters = 20", "cg_max_iters = 1")
                             + extra_config)
         return run_cli("pipeline", "--config", cfg_path), tmp_path / "out"
 

@@ -1,5 +1,6 @@
 """Two-site alternating least squares: environments, solves, sweeps."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -515,16 +516,16 @@ class TestTrain:
     @pytest.mark.parametrize("n_sites, n_sweeps", [(2, 1), (3, 2), (6, 1), (6, 3)])
     def test_builds_only_the_stacks_windows_read(self, n_sites, n_sweeps):
         """Bond j reads left[j] and right[j + 2], so training an n-site scale
-        takes n - 2 environment steps to start and n - 2 per pass, and never
-        builds right[1] or left[n - 1]."""
+        takes n - 2 environment steps to start and n - 2 per pass (two per
+        record), and never builds right[1] or left[n - 1]."""
         data = linear_dataset(np.random.default_rng(56), n_sites, 10)
         cfg = TrainConfig(n_sweeps=n_sweeps, chi_max=4, seed=6)
         with mock.patch.object(Environment, "advance_left", autospec=True,
                                side_effect=Environment.advance_left) as left, \
                 mock.patch.object(Environment, "advance_right", autospec=True,
                                   side_effect=Environment.advance_right) as right:
-            train(data, cfg)
-        assert left.call_count + right.call_count == (n_sites - 2) * (1 + 2 * n_sweeps)
+            _, stats = train(data, cfg)
+        assert left.call_count + right.call_count == (n_sites - 2) * (1 + 2 * len(stats))
         assert n_sites - 2 not in {call.args[2] for call in left.call_args_list}
         assert 1 not in {call.args[2] for call in right.call_args_list}
 
@@ -560,7 +561,7 @@ class TestTrain:
     @pytest.mark.parametrize("n_samples", [5, 60])
     def test_one_solve_per_bond_update(self, n_samples):
         """``train`` calls ``_cg_normal`` exactly once per bond update,
-        n_sweeps * 2 * (N - 1) times, and ``split_bond`` at least as often,
+        2 * (N - 1) times per record, and ``split_bond`` at least as often,
         on either basis; the benchmark counts bond updates and splits there."""
         calls = {"_cg_normal": 0, "split_bond": 0}
 
@@ -576,8 +577,8 @@ class TestTrain:
         cfg = TrainConfig(n_sweeps=2, chi_max=4, init_bond=4, seed=2)
         with mock.patch.multiple(wmera.trainer, _cg_normal=counted("_cg_normal"),
                                  split_bond=counted("split_bond")):
-            train(data, cfg)
-        assert calls["_cg_normal"] == cfg.n_sweeps * 2 * (6 - 1)
+            _, stats = train(data, cfg)
+        assert calls["_cg_normal"] == len(stats) * 2 * (6 - 1)
         assert calls["split_bond"] >= calls["_cg_normal"]
 
     def test_single_sample_fits_exactly(self):
@@ -587,6 +588,57 @@ class TestTrain:
         w, stats = train(data, cfg)
         assert stats[-1].cost < 1e-16
         assert abs(inner(w, data.samples[0]) - data.labels[0]) < 1e-7
+
+    def test_stops_before_the_cap_once_converged(self):
+        """``n_sweeps`` is a cap: a single sample is fit exactly within a
+        sweep, and the next sweep cannot lower the cost, so training stops."""
+        data = linear_dataset(np.random.default_rng(57), 4, 1)
+        _, stats = train(data, TrainConfig(n_sweeps=5, chi_max=4, seed=9))
+        assert len(stats) < 5
+        assert stats[-1].cost < 1e-16
+
+    def test_converged_warm_start_takes_one_sweep(self):
+        """The ridge term keeps the minimum well above roundoff, where a
+        converged sweep's relative change is far below the tolerance."""
+        data = linear_dataset(np.random.default_rng(61), 6, 18)
+        cfg = TrainConfig(n_sweeps=10, chi_max=4, lam=1e-3, seed=6)
+        w, first = train(data, cfg)
+        assert len(first) < cfg.n_sweeps
+        _, stats = train(data, cfg, w0=w)
+        assert len(stats) == 1
+
+    def test_cap_holds_while_every_sweep_lowers_the_cost(self):
+        """One CG step per solve leaves every sweep room to improve, so the
+        run takes exactly ``n_sweeps`` records."""
+        data = linear_dataset(np.random.default_rng(51), 8, 200, bias=0.3)
+        cfg = TrainConfig(n_sweeps=3, chi_max=8, cg_max_iters=1, seed=2)
+        _, stats = train(data, cfg)
+        assert len(stats) == 3
+        assert stats[-1].cost < stats[-2].cost < stats[-3].cost
+
+    @pytest.mark.parametrize("forth_factor, back_over_forth, n_records", [
+        (1.0, 1.01, 1),           # the returning pass raised the cost
+        (1.0, 1.0, 1),            # it left the cost as it was
+        (1.0, 1.0 - 1e-7, 1),     # it lowered the cost by less than the tolerance
+        (1.0, 1.0 - 1e-5, 3),     # it lowered the cost by more: run to the cap
+        (0.0, 1.0, 1),            # a cost of 0 counts as no drop
+    ])
+    def test_stop_reads_the_returning_pass_against_the_forward_pass(
+            self, monkeypatch, forth_factor, back_over_forth, n_records):
+        forth_cost = []
+
+        def patched(w, data, cfg, direction, env, *rest):
+            w, stats = sweep(w, data, cfg, direction, env, *rest)
+            if direction == "lr":
+                forth_cost.append(stats.cost * forth_factor)
+                return w, replace(stats, cost=forth_cost[-1])
+            return w, replace(stats, cost=forth_cost[-1] * back_over_forth)
+
+        monkeypatch.setattr(wmera.trainer, "sweep", patched)
+        data = linear_dataset(np.random.default_rng(51), 8, 200, bias=0.3)
+        cfg = TrainConfig(n_sweeps=3, chi_max=8, cg_max_iters=1, seed=2)
+        _, stats = train(data, cfg)
+        assert len(stats) == n_records
 
 
 class TestEvaluate:
