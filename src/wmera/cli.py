@@ -55,8 +55,8 @@ from .ingest import (
 )
 from .mps import MPS, MPSStack, load_mps, save_mps
 from .trainer import TrainConfig, cost, evaluate, train
-from .util import (_is_int, atomic_write, canonical_json, make_dir, read_file, read_json,
-                   sha256_hex)
+from .util import (_is_int, atomic_write, canonical_json, crc32_hex, make_dir, read_file,
+                   read_json)
 from .wavelet import build_daub4_layer
 
 CACHE_ENV_VAR = "WMERA_CACHE_DIR"
@@ -288,18 +288,24 @@ def load_raw_datasets(cfg: PipelineConfig) -> tuple[tuple[np.ndarray, np.ndarray
 
 
 def compute_fingerprint(cfg: PipelineConfig) -> str:
+    """CRC-32 of what a cache is built from: the program and layer revisions,
+    the data settings, and each input file's byte length and CRC-32, so a
+    changed input goes unseen only if it keeps both."""
+    def length_and_crc(data: bytes) -> list:
+        return [len(data), crc32_hex(data)]
+
     payload = {
         "version": __version__,
         "layer_revision": LAYER_REVISION,
-        "manifest_sha256": sha256_hex(read_file(cfg.manifest_path, ArgumentError)),
-        "files": [sha256_hex(read_file(p, DataError)) for p in _referenced_files(cfg)],
+        "manifest": length_and_crc(read_file(cfg.manifest_path, ArgumentError)),
+        "files": [length_and_crc(read_file(p, DataError)) for p in _referenced_files(cfg)],
         "pad_to": cfg.pad_to,
         "n_h2": cfg.n_h2,
         "n_d4_layers": cfg.n_d4_layers,
         "delta_data": cfg.delta_data,
         "chi_data": cfg.chi_data,
     }
-    return sha256_hex(canonical_json(payload).encode())
+    return crc32_hex(canonical_json(payload).encode())
 
 
 def _encode_rows(values: np.ndarray, scaler) -> MPSStack:

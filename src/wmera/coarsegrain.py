@@ -41,13 +41,14 @@ stack of one.
 The on-disk cache is a manifest plus one file of state records per scale;
 :mod:`wmera.mps` writes and parses the records straight from and into the
 scale's stack, and this module keeps the manifest. Every scale file is
-checked against the manifest's checksum when it is loaded, and
-:func:`check_cache_files` checks them all without keeping any.
+checked against the CRC-32 the manifest lists for it when it is loaded, and
+:func:`check_cache_files` checks them all without keeping any. The checksum
+guards against torn and corrupted files; a manifest edited to match its
+files is not detected, as the manifest sits beside them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -66,7 +67,7 @@ from .errors import (
 )
 from .mps import (MPS, MPSStack, _canonicalize, _merge, _split, _trim_left, _trim_right,
                   inner, product_state, read_mps_records, svd_split, write_mps_records)
-from .util import _is_int, atomic_write, make_dir, read_file, read_json, sha256_hex
+from .util import _is_int, atomic_write, crc32_hex, make_dir, read_file, read_json
 from .wavelet import WaveletMeraLayer, build_daub4_layer
 
 # A gate contracts its first (row) index with the incoming pair state:
@@ -406,18 +407,18 @@ def coarse_grain_dataset(samples: MPSStack | Sequence[MPS], labels, n_layers: in
 # On-disk layout: manifest.json plus one binary file per scale holding the
 # sample states in chain order.
 _CACHE_FORMAT = "wmera-cache"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def save_cache(cache: ScaleCache, directory, fingerprint: str = "", test_samples=None) -> dict:
     """Write the scale files, then the manifest that vouches for them and
     records the build: the input ``fingerprint`` and a train split's
     ``test_samples``; returns the manifest.
-    Each scale file is written straight from the scale's stack and hashed
-    from the bytes written. An existing manifest is removed first and the
-    new one is moved into place only after every scale file is written, so
-    an interrupted save leaves no manifest and the next load fails with
-    StateError.
+    Each scale file is written straight from the scale's stack, and its
+    CRC-32 is taken from the bytes written. An existing manifest is removed
+    first and the new one is moved into place only after every scale file is
+    written, so an interrupted save leaves no manifest and the next load
+    fails with StateError.
     """
     directory = make_dir(directory)
     manifest_path = directory / "manifest.json"
@@ -425,14 +426,13 @@ def save_cache(cache: ScaleCache, directory, fingerprint: str = "", test_samples
     scales_meta = []
     for level, sd in enumerate(cache.scales):
         name = f"scale_{level:03d}.bin"
-        digest = hashlib.sha256()
         with open(directory / name, "wb") as f:
-            write_mps_records(f, sd.stack, digest)
+            crc = write_mps_records(f, sd.stack)
         scales_meta.append({
             "file": name,
             "n_sites": sd.n_sites,
             "n_samples": sd.n_samples,
-            "sha256": digest.hexdigest(),
+            "crc32": f"{crc:08x}",
         })
     manifest = {
         "format": _CACHE_FORMAT,
@@ -487,9 +487,9 @@ def _check_manifest(path: Path, manifest) -> None:
         n_samples = meta.get("n_samples")
         if not _is_int(n_samples) or n_samples < 1 or n_samples != len(labels):
             bad(f"scale {level}: n_samples must be a positive integer, one per label")
-        digest = meta.get("sha256")
-        if not isinstance(digest, str) or not re.fullmatch("[0-9a-f]{64}", digest):
-            bad(f"scale {level}: sha256 must be 64 hex digits")
+        crc = meta.get("crc32")
+        if not isinstance(crc, str) or not re.fullmatch("[0-9a-f]{8}", crc):
+            bad(f"scale {level}: crc32 must be 8 hex digits")
     if not _is_number(manifest.get("delta_data")) or manifest["delta_data"] < 0:
         bad("delta_data must be a number >= 0")
     chi = manifest.get("chi_data", 0)
@@ -515,16 +515,16 @@ def _scale_bytes(directory: Path, meta: dict) -> bytes:
     when its checksum disagrees with the manifest entry ``meta``."""
     path = directory / meta["file"]
     data = read_file(path, StateError, f"cache file missing: {path}")
-    digest = sha256_hex(data)
-    if digest != meta["sha256"]:
+    crc = crc32_hex(data)
+    if crc != meta["crc32"]:
         raise DataError(f"checksum mismatch for {path}: manifest says "
-                        f"{meta['sha256'][:12]}..., file is {digest[:12]}...")
+                        f"{meta['crc32']}, file is {crc}")
     return data
 
 
 def check_cache_files(directory, manifest: dict) -> None:
     """Check every scale file ``manifest`` lists against its checksum, as
-    :func:`load_cache` would; each file is read, hashed and dropped in turn."""
+    :func:`load_cache` would; each file is read, checksummed and dropped in turn."""
     for meta in manifest["scales"]:
         _scale_bytes(Path(directory), meta)
 
@@ -532,7 +532,7 @@ def check_cache_files(directory, manifest: dict) -> None:
 def load_cache(directory, manifest: dict, level: int) -> ScaleData:
     """Scale ``level`` of the cache at ``directory``, whose ``manifest`` is
     the one :func:`read_cache_manifest` returned; a checksum mismatch is a
-    hard error. The scale file is read once: its bytes are hashed, then
+    hard error. The scale file is read once: its bytes are checksummed, then
     parsed straight into the scale's stack.
     """
     directory, meta = Path(directory), manifest["scales"][level]

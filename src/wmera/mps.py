@@ -16,6 +16,7 @@ both straight from and into a stack; no other module knows their layout.
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
@@ -376,15 +377,16 @@ _MODEL_HEAD = MPS_MAGIC + _U32.pack(MPS_FORMAT_VERSION)
 _CORE_HEAD = struct.Struct("<IQQQ")  # header of a core: rank 3, extents
 
 
-def write_mps_records(stream: BinaryIO, stack: MPSStack, digest=None) -> None:
-    """Every sample of ``stack``, trimmed to its own bonds, as one state record.
+def write_mps_records(stream: BinaryIO, stack: MPSStack) -> int:
+    """Every sample of ``stack``, trimmed to its own bonds, as one state
+    record; returns the CRC-32 (:func:`zlib.crc32`) of the bytes written.
 
     Records are written one at a time, so no more than one record's bytes
-    are held beyond the stack; ``digest`` (a :mod:`hashlib` object), when
-    given, is fed the same bytes.
+    are held beyond the stack.
     """
     head = _U32.pack(len(stack.cores))
     cores = [c.astype("<f8", copy=False) for c in stack.cores]
+    crc = 0
     for i, b in enumerate(stack.bonds.tolist()):
         parts = [head]
         for j, c in enumerate(cores):
@@ -392,8 +394,8 @@ def write_mps_records(stream: BinaryIO, stack: MPSStack, digest=None) -> None:
             parts += (_CORE_HEAD.pack(3, *core.shape), core.tobytes())
         record = b"".join(parts)
         stream.write(record)
-        if digest is not None:
-            digest.update(record)
+        crc = zlib.crc32(record, crc)
+    return crc
 
 
 def read_mps_records(buf: bytes, count: int) -> MPSStack:

@@ -308,7 +308,8 @@ def _sample_basis(n: int, size: int) -> bool:
 _RESOLVED = 1e6 * np.finfo(np.float64).eps
 
 # train stops after a sweep whose returning pass lowered the cost by no more
-# than this fraction of the cost its forward pass left
+# than this fraction of the cost its forward pass left (plus a roundoff floor
+# scaled by the labels)
 _SWEEP_TOL = 1e-6
 
 
@@ -557,9 +558,11 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
     cfg.n_sweeps; returns weights centered at site 0 and stats.
 
     A sweep has converged when its returning pass lowered the cost by no
-    more than ``_SWEEP_TOL`` relative to the cost its forward pass left; a
-    rise, or a cost of 0, counts as no drop. Starts from ``w0`` when given,
-    otherwise from a seeded random chain. One SweepStats entry is emitted
+    more than ``_SWEEP_TOL`` relative to the cost its forward pass left plus
+    1e-12 of the mean squared label, the roundoff scale of :func:`sweep`'s
+    rollback slack; a rise, or a drop within roundoff of a cost near 0,
+    counts as no drop. Starts from ``w0`` when given, otherwise from a
+    seeded random chain. One SweepStats entry is emitted
     per full sweep, measured after its returning pass, so fewer entries than
     ``n_sweeps`` mean the run stopped on convergence. An overflow anywhere
     in training, as from a label whose square is past the float64 range, is
@@ -569,7 +572,9 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
     w = w0 if w0 is not None else random_weights(data.n_sites, cfg)
     w = canonicalize(w, 0)
     stats: list[SweepStats] = []
+    y = data.labels
     with _overflow_is_numeric_error("training"):
+        floor = 1e-12 * float(y.dot(y)) / len(y)
         env = Environment(w, data)
         env.refresh_right(w)
         for k in range(cfg.n_sweeps):
@@ -581,7 +586,7 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
                 rollbacks=forth.rollbacks + back.rollbacks,
                 cg_iters=forth.cg_iters + back.cg_iters,
                 cg_breaks=forth.cg_breaks + back.cg_breaks))
-            if not back.cost < forth.cost * (1.0 - _SWEEP_TOL):
+            if not back.cost < forth.cost * (1.0 - _SWEEP_TOL) - floor:
                 break
     return w, stats
 

@@ -1,12 +1,12 @@
-"""Small shared helpers: canonical JSON, SHA-256 hashing, and the one file
+"""Small shared helpers: canonical JSON, CRC-32 checksums, and the one file
 boundary, through which every input is read, every output directory made and
 every whole output written."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -18,8 +18,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def crc32_hex(data: bytes) -> str:
+    """CRC-32 of ``data`` as 8 hex digits: a check against torn or corrupted
+    bytes, not against deliberate edits. ``zlib`` is loaded with NumPy, while
+    :mod:`hashlib` would load OpenSSL's libcrypto only to checksum."""
+    return f"{zlib.crc32(data):08x}"
 
 
 def _is_int(v) -> bool:

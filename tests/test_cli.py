@@ -2,11 +2,14 @@
 
 import collections
 import functools
+import hashlib
 import json
 import operator
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -479,7 +482,7 @@ class TestExitCodes:
         def failing_write(stream, stack, *rest):
             if stream.name.endswith(f"test{os.sep}scale_001.bin"):
                 raise OSError("disk full")
-            write(stream, stack, *rest)
+            return write(stream, stack, *rest)
 
         monkeypatch.setattr(wmera.coarsegrain, "write_mps_records", failing_write)
         write_wav(tmp_path / "data" / "s00.wav", np.full(16, 0.9))
@@ -506,7 +509,7 @@ class TestExitCodes:
         (("scales", 1, "n_sites"), 8),
         (("scales", 0, "file"), "../train/scale_000.bin"),
         (("scales", 0, "file"), 7),
-        (("scales", 0, "sha256"), "not-a-digest"),
+        (("scales", 0, "crc32"), "not-a-digest"),
         (("scales", 0), "scale_000.bin"),
         (("scales",), []),
         (("labels", 0), _DROP),
@@ -521,7 +524,7 @@ class TestExitCodes:
         ((), ["a list, not an object"]),
     ], ids=["n_samples-missing", "n_samples-a-string", "n_samples-zero",
             "n_samples-not-one-per-label", "n_sites-a-bool", "n_sites-not-halving",
-            "file-with-a-path", "file-not-a-string", "sha256-not-hex", "scale-a-string",
+            "file-with-a-path", "file-not-a-string", "crc32-not-hex", "scale-a-string",
             "scales-empty", "labels-short", "label-a-string", "labels-missing",
             "delta_data-missing", "delta_data-a-string", "chi_data-zero",
             "chi_data-a-float", "fingerprint-null", "test_samples-a-string",
@@ -678,7 +681,7 @@ class TestPreprocess:
         def failing_write(stream, stack, *rest):
             if stream.name.endswith("scale_001.bin"):
                 raise OSError("disk full")
-            write(stream, stack, *rest)
+            return write(stream, stack, *rest)
 
         monkeypatch.setattr(wmera.coarsegrain, "write_mps_records", failing_write)
         write_wav(tmp_path / "data" / "s00.wav", np.full(16, 0.9))
@@ -711,6 +714,30 @@ class TestPreprocess:
         assert "building cache" in capsys.readouterr().out
         assert victim.read_bytes() == original
         assert run_cli("train", "--config", cfg_path) == 0
+
+    def test_version_1_cache_is_refused_then_rebuilt(self, tmp_path, capsys):
+        """A cache written before the CRC-32 checksums (version 1, with a
+        sha256 per scale) is refused by train (exit 3) and rebuilt by
+        pipeline."""
+        cfg_path = classification_workspace(tmp_path)
+        assert run_cli("preprocess", "--config", cfg_path) == 0
+        cache = tmp_path / "out" / "cache"
+        for split in ("train", "test"):
+            path = cache / split / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["version"] = 1
+            for meta in manifest["scales"]:
+                del meta["crc32"]
+                meta["sha256"] = hashlib.sha256((cache / split / meta["file"])
+                                                .read_bytes()).hexdigest()
+            path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path) == 3
+        assert "unsupported cache version 1" in capsys.readouterr().err
+        assert run_cli("pipeline", "--config", cfg_path) == 0
+        assert "building cache" in capsys.readouterr().out
+        for split in ("train", "test"):
+            assert read_cache_manifest(cache / split)["version"] == 2
 
     def test_dropped_test_split_is_removed(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
@@ -764,6 +791,30 @@ class TestPreprocess:
 
 
 class TestTrainEvalFinegrain:
+    def test_cache_commands_load_no_libcrypto(self, tmp_path):
+        """preprocess, finegrain, train --init and eval checksum with zlib's
+        CRC-32 and draw no random numbers, so they never load OpenSSL's
+        libcrypto (``_hashlib``). pipeline, and train without --init, still
+        do: ``np.random.default_rng`` imports ``numpy.random.bit_generator``,
+        which imports ``secrets``, then ``hmac``, then ``_hashlib``."""
+        cfg_path = regression_workspace(tmp_path)
+        assert run_cli("pipeline", "--config", cfg_path) == 0
+        shutil.rmtree(tmp_path / "out" / "cache")
+        init = tmp_path / "out" / "model_scale0.init.mps"
+        commands = [["preprocess"], ["finegrain", "--scale", "1"],
+                    ["train", "--scale", "0", "--init", str(init)], ["eval", "--scale", "0"]]
+        script = ("import json, sys\n"
+                  "from wmera.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    if main(argv + ['--config', sys.argv[2]]):\n"
+                  "        sys.exit(f'{argv[0]} failed')\n"
+                  "print('_hashlib' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(wmera.cli.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(cfg_path)],
+                             capture_output=True, text=True, env=env, check=True)
+        assert "building cache" in run.stdout
+        assert run.stdout.splitlines()[-1] == "False"
+
     def test_command_sequence(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
         # one CG step per solve: no sweep converges, so train runs all n_sweeps = 3

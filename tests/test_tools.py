@@ -26,11 +26,18 @@ def test_output_hashes_repeat(tmp_path):
 
 def test_peak_rss_lists_each_command(tmp_path):
     """One line per command of reg-short-windows, preprocess then pipeline,
-    each with a positive peak RSS in MB."""
+    each with a positive peak RSS in MB as ``bench/run.py`` reads it and as
+    the command's own. The own reading is not above the other beyond the
+    0.11 MB the two runs' own peaks have been seen to differ by, and
+    preprocess, whose own peak is below the tool's, reads lower on its own."""
     listing = subprocess.run([sys.executable, TOOLS / "peak_rss.py", tmp_path,
                               "reg-short-windows"],
                              capture_output=True, text=True, check=True).stdout
-    rows = [line.split() for line in listing.splitlines()]
+    header, *rows = [line.split() for line in listing.splitlines()]
+    assert header == ["workload", "command", "run.py", "own"]
     assert [row[:2] for row in rows] == [["reg-short-windows", "preprocess"],
                                          ["reg-short-windows", "pipeline"]]
-    assert all(float(row[2]) > 0 for row in rows)
+    peaks = [(float(row[2]), float(row[3])) for row in rows]
+    assert all(own > 0 for _, own in peaks)
+    assert all(own <= run_py + 0.5 for run_py, own in peaks)
+    assert peaks[0][1] < peaks[0][0]

@@ -502,7 +502,9 @@ class TestTrain:
     def test_stats_shape(self):
         rng = np.random.default_rng(53)
         data = linear_dataset(rng, 4, 10)
-        cfg = TrainConfig(n_sweeps=3, chi_max=4, seed=4)
+        # one CG step per solve keeps every sweep lowering the cost; full
+        # solves fit this toy exactly in one sweep, and training stops there
+        cfg = TrainConfig(n_sweeps=3, chi_max=4, cg_max_iters=1, seed=4)
         w, stats = train(data, cfg)
         assert len(stats) == 3
         assert [s.sweep for s in stats] == [0, 1, 2]
@@ -604,6 +606,17 @@ class TestTrain:
         cfg = TrainConfig(n_sweeps=10, chi_max=4, lam=1e-3, seed=6)
         w, first = train(data, cfg)
         assert len(first) < cfg.n_sweeps
+        _, stats = train(data, cfg, w0=w)
+        assert len(stats) == 1
+
+    def test_converged_exact_fit_takes_one_sweep(self):
+        """Without a ridge the exact fit's cost sits at roundoff (about 1e-23),
+        where relative changes are of order 1; the label-scaled floor sees a
+        warm start from converged weights as converged after one sweep."""
+        data = linear_dataset(np.random.default_rng(59), 4, 10)
+        cfg = TrainConfig(n_sweeps=10, chi_max=4, seed=9)
+        w, first = train(data, cfg)
+        assert first[-1].cost < 1e-16
         _, stats = train(data, cfg, w0=w)
         assert len(stats) == 1
 
