@@ -2,18 +2,17 @@
 
 Configuration is a plain key = value file; the --threads, --seed, and
 --output flags override it. Every command writes a resolved-config snapshot
-next to its artifacts, and metrics are JSON lines with one object per sweep.
-Cache location can be redirected with the WMERA_CACHE_DIR environment
-variable.
+next to its artifacts. WMERA_CACHE_DIR redirects the cache.
 
-Each command holds only the scale it works on. A cache is used when its
-manifests pass :func:`_built_manifests` and every scale file they list
-matches its checksum, checked one file at a time; otherwise preprocess and
-pipeline rebuild it, one split at a time, and train and eval refuse it.
-Every scale then comes from disk through ``load_cache``, warm or cold:
-pipeline loads train[s] when scale s starts and test[s] only to evaluate
-it, and drops both before the next scale; train loads train[scale], eval
-the two stacks it scores, and finegrain reads the manifests alone.
+A cache is used when its manifests pass :func:`_built_manifests` and every
+scale file they list matches its checksum; otherwise preprocess and pipeline
+rebuild it, one split at a time, and train and eval refuse it. A command
+holds only the scale it works on: train and eval load train[k], then
+test[k] to score it, and finegrain reads the manifests alone.
+
+finegrain and train each run one step, :func:`_finegrain_step` or
+:func:`_train_step`, and pipeline is a loop over the two, coarsest first.
+The train step keeps a scale's books: model, metrics lines, summary entry.
 """
 
 from __future__ import annotations
@@ -344,14 +343,6 @@ def fresh_manifests(cfg: PipelineConfig, fingerprint: str) -> dict[str, dict]:
     return manifests
 
 
-def _load_scale(cfg: PipelineConfig, manifests: dict[str, dict], split: str,
-                scale: int) -> ScaleData | None:
-    """One scale of one split, read from the cache; None for an absent test split."""
-    if split not in manifests:
-        return None
-    return load_cache(cfg.cache_root / split, manifests[split], scale)
-
-
 def ensure_cache(cfg: PipelineConfig) -> dict[str, dict]:
     """The manifests of a fresh preprocessing cache, rebuilding it whenever
     train and eval would refuse it. A build coarse-grains, saves and drops
@@ -401,33 +392,42 @@ def write_snapshot(cfg: PipelineConfig) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _metric_lines(scale: int, stats_list, fine_grain: dict | None = None) -> str:
-    """One JSON line per sweep, the fields of its SweepStats, after the
-    scale's fine-graining record when given; deterministic fields only, no
-    wall times."""
-    records = ([] if fine_grain is None else [fine_grain]) + [asdict(st) for st in stats_list]
-    return "".join(json.dumps({"scale": scale, **record}, sort_keys=True) + "\n"
-                   for record in records)
-
-
-def _replace_scale_metrics(path: Path, scale: int, stats_list,
-                           fine_grain: dict | None = None) -> None:
-    """Swap the records of ``scale`` in ``path`` for new ones and keep every
-    other scale's; the file is replaced whole, so a crash leaves the old one."""
-    kept = ""
-    try:  # no metrics yet reads as None
-        for line in (read_file(path, None, text=True) or "").splitlines():
-            if json.loads(line)["scale"] != scale:
-                kept += line + "\n"
+def _scale_records(path: Path) -> list[dict]:
+    """The records of output file ``path``, each of one scale: the lines of
+    ``metrics.jsonl`` or the entries of ``summary.json``, none before the
+    file is first written."""
+    text = read_file(path, None, text=True)
+    try:
+        if text is None:
+            records = []
+        elif path.name == "summary.json":
+            records = json.loads(text)["scales"]
+        else:
+            records = [json.loads(line) for line in text.splitlines()]
+        if not all(_is_int(r["scale"]) for r in records):
+            raise TypeError("a scale is not an integer")
     except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: unreadable metrics record ({exc})") from exc
+        raise FormatError(f"{path}: unreadable {path.stem} record ({exc})") from exc
+    return records
+
+
+def _replace_scale(cfg: PipelineConfig, name: str, scale: int, new: list[dict]) -> None:
+    """Swap the records of ``scale`` in output file ``name`` for ``new`` and
+    keep every other scale's, coarsest first; the file is replaced whole, so
+    a crash leaves the old one."""
+    path = cfg.output / name
+    records = sorted([r for r in _scale_records(path) if r["scale"] != scale] + new,
+                     key=lambda r: r["scale"], reverse=True)
     with atomic_write(path, text=True) as f:
-        f.write(kept + _metric_lines(scale, stats_list, fine_grain))
+        if name == "summary.json":
+            f.write(json.dumps({"task": cfg.task, "scales": records},
+                               sort_keys=True, indent=1) + "\n")
+        else:
+            f.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
-def _model_path(cfg: PipelineConfig, scale: int, init: bool = False) -> Path:
-    suffix = ".init.mps" if init else ".mps"
-    return cfg.output / f"model_scale{scale}{suffix}"
+def _model_path(cfg: PipelineConfig, scale: int) -> Path:
+    return cfg.output / f"model_scale{scale}.mps"
 
 
 def _scale(cfg: PipelineConfig, args) -> int:
@@ -439,40 +439,67 @@ def _scale(cfg: PipelineConfig, args) -> int:
     return scale
 
 
-def _fine_grain(cfg: PipelineConfig, w: MPS, scale: int) -> tuple[MPS, float]:
-    """Project weights one scale finer, onto ``scale``, truncating with that
-    scale's training settings; returns the weights and the truncated weight."""
+def _finegrain_step(cfg: PipelineConfig, w: MPS, scale: int) -> tuple[MPS, float]:
+    """Project weights trained on ``scale`` one scale finer, truncated with
+    the finer scale's settings, and open the finer scale's metrics with the
+    fine-grain record; its cost before is the last sweep cost of ``scale``,
+    None when the metrics hold none. Returns the warm start and the
+    truncated weight."""
+    costs = [r.get("cost") for r in _scale_records(cfg.output / "metrics.jsonl")
+             if r["scale"] == scale and "sweep" in r]
+    tc = cfg.train_config(scale - 1)
+    fine, err = fine_grain_weights(w, build_daub4_layer(2 * len(w)), tc.delta_weights,
+                                   tc.chi_max)
+    _replace_scale(cfg, "metrics.jsonl", scale - 1, [{
+        "scale": scale - 1, "finegrain_from": scale, "truncated_weight": err,
+        "cost_before": costs[-1] if costs else None}])
+    return fine, err
+
+
+def _train_step(cfg: PipelineConfig, manifests: dict[str, dict], scale: int,
+                w0: MPS | None = None) -> MPS:
+    """Train ``scale`` from ``w0`` (a seeded random start when None), then
+    save its model, replace its metrics lines and summary entry, and print
+    its line. A warm start keeps the fine-grain record that opened the
+    scale's metrics, if any, and adds the train cost after fine-graining:
+    with the coarse ridge term, as the cost before, so equal to it when
+    nothing was truncated."""
+    data = load_cache(cfg.cache_root / "train", manifests["train"], scale)
+    records = [{**r, "cost_after": cost(w0, data, cfg.train_config(scale + 1).lam)}
+               for r in _scale_records(cfg.output / "metrics.jsonl")
+               if r["scale"] == scale and "finegrain_from" in r and w0 is not None]
     tc = cfg.train_config(scale)
-    return fine_grain_weights(w, build_daub4_layer(2 * len(w)), tc.delta_weights, tc.chi_max)
+    w, stats = train(data, tc, w0=w0, task=cfg.task)
+    _replace_scale(cfg, "metrics.jsonl", scale,
+                   records + [{"scale": scale, **asdict(st)} for st in stats])
+    model = _model_path(cfg, scale)
+    save_mps(model, w)
+    report = _eval_report(cfg, w, scale, data, manifests)
+    report.update(final_cost=stats[-1].cost, model_file=model.name)
+    _replace_scale(cfg, "summary.json", scale, [report])
+    scores = "".join(f", {key} {report[key]:.6g}" for key in ("train_metric", "test_metric")
+                     if report[key] is not None)
+    print(f"scale {scale}: cost {stats[-1].cost:.6g}{scores} -> {model}, "
+          f"{len(stats)} of {tc.n_sweeps} sweeps")
+    return w
 
 
-def cmd_preprocess(cfg: PipelineConfig, args) -> int:
+def cmd_preprocess(cfg: PipelineConfig, args) -> None:
     manifests = ensure_cache(cfg)
     scales = manifests["train"]["scales"]
     print(f"train: {scales[0]['n_samples']} samples, "
           f"scale widths {[meta['n_sites'] for meta in scales]}")
     if "test" in manifests:
         print(f"test: {manifests['test']['scales'][0]['n_samples']} samples")
-    return 0
 
 
-def cmd_train(cfg: PipelineConfig, args) -> int:
+def cmd_train(cfg: PipelineConfig, args) -> None:
     scale = _scale(cfg, args)
-    data = _load_scale(cfg, fresh_manifests(cfg, compute_fingerprint(cfg)), "train", scale)
-    w0 = None
-    if args.init is not None:
-        w0 = load_mps(args.init)
-    tc = cfg.train_config(scale)
-    w, stats = train(data, tc, w0=w0, task=cfg.task)
-    _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats)
-    save_mps(_model_path(cfg, scale), w)
-    print(f"scale {scale}: cost {stats[-1].cost:.6g}, "
-          f"train_metric {stats[-1].train_metric:.6g} -> {_model_path(cfg, scale)}, "
-          f"{len(stats)} of {tc.n_sweeps} sweeps")
-    return 0
+    manifests = fresh_manifests(cfg, compute_fingerprint(cfg))
+    _train_step(cfg, manifests, scale, None if args.init is None else load_mps(args.init))
 
 
-def cmd_finegrain(cfg: PipelineConfig, args) -> int:
+def cmd_finegrain(cfg: PipelineConfig, args) -> None:
     scale = _scale(cfg, args)
     if scale < 1:
         raise ArgumentError("finegrain needs --scale >= 1")
@@ -480,28 +507,28 @@ def cmd_finegrain(cfg: PipelineConfig, args) -> int:
     w, width = load_mps(_model_path(cfg, scale)), train["scales"][scale]["n_sites"]
     if len(w) != width:
         raise DimensionError(f"weights cover {len(w)} sites, scale {scale} has {width}")
-    fine, err = _fine_grain(cfg, w, scale - 1)
-    target = _model_path(cfg, scale - 1, init=True)
+    fine, err = _finegrain_step(cfg, w, scale)
+    target = cfg.output / f"model_scale{scale - 1}.init.mps"
     save_mps(target, fine)
     print(f"scale {scale} -> {scale - 1}: truncated weight {err:.3g} -> {target}")
-    return 0
 
 
-def cmd_eval(cfg: PipelineConfig, args) -> int:
+def cmd_eval(cfg: PipelineConfig, args) -> None:
     scale = _scale(cfg, args)
     manifests = fresh_manifests(cfg, compute_fingerprint(cfg))
     w = load_mps(_model_path(cfg, scale))
-    report = _eval_report(cfg, w, scale, _load_scale(cfg, manifests, "train", scale), manifests)
+    data = load_cache(cfg.cache_root / "train", manifests["train"], scale)
+    report = _eval_report(cfg, w, scale, data, manifests)
     with atomic_write(cfg.output / f"eval_scale{scale}.json", text=True) as f:
         f.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(json.dumps(report, sort_keys=True))
-    return 0
 
 
 def _eval_report(cfg, w, scale, data: ScaleData, manifests: dict[str, dict]) -> dict:
     """Metrics of ``w`` on the train scale ``data`` and on the same scale of
-    the test split, which is loaded here and dropped on return."""
-    test = _load_scale(cfg, manifests, "test", scale)
+    the test split, if any, which is loaded here and dropped on return."""
+    test = (load_cache(cfg.cache_root / "test", manifests["test"], scale)
+            if "test" in manifests else None)
     return {
         "task": cfg.task,
         "scale": scale,
@@ -511,45 +538,13 @@ def _eval_report(cfg, w, scale, data: ScaleData, manifests: dict[str, dict]) -> 
     }
 
 
-def cmd_pipeline(cfg: PipelineConfig, args) -> int:
+def cmd_pipeline(cfg: PipelineConfig, args) -> None:
     manifests = ensure_cache(cfg)
-    summary = []
-    w = fine_grain = None
+    w = None
     for scale in range(cfg.n_d4_layers, cfg.fine_grain_to - 1, -1):
-        data = _load_scale(cfg, manifests, "train", scale)
         if w is not None:
-            # the coarse scale's final cost against the fine weights' train
-            # cost, both with the coarse ridge term: equal when no truncation
-            w, err = _fine_grain(cfg, w, scale)
-            fine_grain = {"finegrain_from": scale + 1, "truncated_weight": err,
-                          "cost_before": stats[-1].cost,
-                          "cost_after": cost(w, data, cfg.train_config(scale + 1).lam)}
-        tc = cfg.train_config(scale)
-        w, stats = train(data, tc, w0=w, task=cfg.task)
-        _replace_scale_metrics(cfg.output / "metrics.jsonl", scale, stats, fine_grain)
-        save_mps(_model_path(cfg, scale), w)
-        report = _eval_report(cfg, w, scale, data, manifests)
-        del data  # one scale in memory: dropped before the next one loads
-        report["final_cost"] = stats[-1].cost
-        report["model_file"] = _model_path(cfg, scale).name
-        summary.append(report)
-        print(f"scale {scale}: train_metric {report['train_metric']:.6g}"
-              + (f", test_metric {report['test_metric']:.6g}"
-                 if report["test_metric"] is not None else "")
-              + f", {len(stats)} of {tc.n_sweeps} sweeps")
-    payload = {"task": cfg.task, "scales": summary}
-    with atomic_write(cfg.output / "summary.json", text=True) as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    return 0
-
-
-_COMMANDS = {
-    "preprocess": cmd_preprocess,
-    "train": cmd_train,
-    "finegrain": cmd_finegrain,
-    "eval": cmd_eval,
-    "pipeline": cmd_pipeline,
-}
+            w, _ = _finegrain_step(cfg, w, scale + 1)
+        w = _train_step(cfg, manifests, scale, w)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -558,14 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-scale tensor-network learning over wavelet-coarse-grained signals.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("preprocess", "encode and coarse-grain the manifest's data into the cache"),
-        ("train", "train the weight chain at one scale"),
-        ("finegrain", "project a trained model one scale finer"),
-        ("eval", "evaluate a trained model on the cached splits"),
-        ("pipeline", "preprocess, then train from coarsest down to fine_grain_to"),
+    for command, help_text in [
+        (cmd_preprocess, "encode and coarse-grain the manifest's data into the cache"),
+        (cmd_train, "train the weight chain at one scale"),
+        (cmd_finegrain, "project a trained model one scale finer"),
+        (cmd_eval, "evaluate a trained model on the cached splits"),
+        (cmd_pipeline, "preprocess, then train from coarsest down to fine_grain_to"),
     ]:
+        name = command.__name__.removeprefix("cmd_")
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=command)
         p.add_argument("--config", required=True, help="key = value configuration file")
         p.add_argument("--output", help="override the output directory")
         p.add_argument("--threads", type=int,
@@ -584,10 +581,11 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         write_snapshot(cfg)
-        return _COMMANDS[args.command](cfg, args)
+        args.run(cfg, args)
     except WmeraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

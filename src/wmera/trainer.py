@@ -562,15 +562,16 @@ def train(data: ScaleData, cfg: TrainConfig, w0: MPS | None = None,
     1e-12 of the mean squared label, the roundoff scale of :func:`sweep`'s
     rollback slack; a rise, or a drop within roundoff of a cost near 0,
     counts as no drop. Starts from ``w0`` when given, otherwise from a
-    seeded random chain. One SweepStats entry is emitted
-    per full sweep, measured after its returning pass, so fewer entries than
-    ``n_sweeps`` mean the run stopped on convergence. An overflow anywhere
-    in training, as from a label whose square is past the float64 range, is
-    a NumericError.
+    seeded random chain, re-gauged by a full QR sweep to center 0 whatever
+    center it claims, so a warm start trains the same from memory as from a
+    model file. One SweepStats entry is emitted per full sweep, measured
+    after its returning pass, so fewer entries than ``n_sweeps`` mean the
+    run stopped on convergence. An overflow anywhere in training, as from a
+    label whose square is past the float64 range, is a NumericError.
     """
     _metric_from_outputs(np.zeros(1), np.zeros(1), task)  # validate the task name
     w = w0 if w0 is not None else random_weights(data.n_sites, cfg)
-    w = canonicalize(w, 0)
+    w = canonicalize(MPS(w.cores), 0)
     stats: list[SweepStats] = []
     y = data.labels
     with _overflow_is_numeric_error("training"):

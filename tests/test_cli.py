@@ -193,6 +193,19 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def scale_line(out, entry, sweeps):
+    """The one stdout line of a trained scale, from its summary.json entry
+    and its ``k of n`` sweeps."""
+    return (f"scale {entry['scale']}: cost {entry['final_cost']:.6g}, "
+            f"train_metric {entry['train_metric']:.6g}, "
+            f"test_metric {entry['test_metric']:.6g} -> {out / entry['model_file']}, "
+            f"{sweeps} sweeps")
+
+
+def read_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
@@ -824,7 +837,8 @@ class TestTrainEvalFinegrain:
 
         capsys.readouterr()
         assert run_cli("train", "--config", cfg_path) == 0
-        assert capsys.readouterr().out.endswith(", 3 of 3 sweeps\n")
+        [entry] = json.loads((out / "summary.json").read_text())["scales"]
+        assert capsys.readouterr().out == scale_line(out, entry, "3 of 3") + "\n"
         assert (out / "model_scale1.mps").is_file()
         lines = (out / "metrics.jsonl").read_text().strip().splitlines()
         assert len(lines) == 3
@@ -869,13 +883,14 @@ class TestTrainEvalFinegrain:
         assert run_cli("pipeline", "--config", cfg_path) == 0
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("scale ")]
-        records = [json.loads(line) for line in
-                   (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()]
+        out = tmp_path / "out"
+        records = read_records(out / "metrics.jsonl")
         runs = {scale: sum(r["scale"] == scale and "sweep" in r for r in records)
                 for scale in (2, 1, 0)}
         assert runs[2] < 3  # the toy scale 2 converges before the cap
-        assert [line.rsplit(", ", 1)[1] for line in lines] == [
-            f"{runs[2]} of 3 sweeps", f"{runs[1]} of 3 sweeps", f"{runs[0]} of 4 sweeps"]
+        summary = json.loads((out / "summary.json").read_text())["scales"]
+        assert lines == [scale_line(out, entry, f"{runs[entry['scale']]} of {cap}")
+                         for entry, cap in zip(summary, (3, 3, 4))]
 
     def test_failed_model_write_keeps_the_previous_model(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -907,6 +922,12 @@ class TestTrainEvalFinegrain:
         (tmp_path / "out" / "metrics.jsonl").write_text('{"sweep": 0}\n')
         assert run_cli("train", "--config", cfg_path) == 3
         assert "metrics record" in capsys.readouterr().err
+        # summary.json, whose entry train replaces, is read by the same rule
+        (tmp_path / "out" / "metrics.jsonl").unlink()
+        for summary in ('{"scales": [{"scale": "1"}]}', "[]"):
+            (tmp_path / "out" / "summary.json").write_text(summary)
+            assert run_cli("train", "--config", cfg_path) == 3
+            assert "summary record" in capsys.readouterr().err
 
     def test_out_of_range_scale_exits_2(self, tmp_path, capsys):
         cfg_path = classification_workspace(tmp_path)
@@ -965,9 +986,114 @@ class TestTrainEvalFinegrain:
         assert "run 'wmera preprocess' again" in capsys.readouterr().err
 
     def test_finegrain_needs_a_model(self, tmp_path, capsys):
+        """finegrain needs a model (exit 5 without one), not its metrics:
+        with no sweep of the coarse scale in metrics.jsonl, absent or
+        holding other scales alone, the fine-grain record's cost_before is
+        null."""
         cfg_path = classification_workspace(tmp_path)
         run_cli("preprocess", "--config", cfg_path)
         assert run_cli("finegrain", "--config", cfg_path) == 5
+        assert run_cli("train", "--config", cfg_path) == 0
+        metrics = tmp_path / "out" / "metrics.jsonl"
+        init = tmp_path / "out" / "model_scale0.init.mps"
+        metrics.unlink()
+        for _ in range(2):  # no metrics, then the scale-0 lines alone
+            assert run_cli("finegrain", "--config", cfg_path) == 0
+            assert [(r["finegrain_from"], r["cost_before"])
+                    for r in read_records(metrics)] == [(1, None)]
+            assert run_cli("train", "--config", cfg_path, "--scale", "0", "--init", init) == 0
+            fine = read_records(metrics)[0]
+            assert fine["scale"] == 0 and fine["cost_before"] is None
+            assert fine["cost_after"] > 0
+
+
+class TestStepBookkeeping:
+    """The step commands keep the books pipeline keeps: finegrain opens the
+    finer scale's metrics with its fine-grain record, and train --scale k
+    replaces scale k's metrics lines and summary entry and no other."""
+
+    def workspace(self, tmp_path, workspace=classification_workspace, layers=1):
+        cfg_path = workspace(tmp_path)
+        cfg_path.write_text(cfg_path.read_text()
+                            .replace("n_d4_layers = 1", f"n_d4_layers = {layers}")
+                            .replace("n_h2 = 2", "n_h2 = 1"))
+        return cfg_path, tmp_path / "out"
+
+    def summary(self, out):
+        return {e["scale"]: e for e in json.loads((out / "summary.json").read_text())["scales"]}
+
+    def test_warm_start_writes_the_fine_grain_record(self, tmp_path, capsys):
+        """finegrain --scale 1 opens scale 0's metrics with the record, its
+        cost_before the last sweep cost of scale 1; train --scale 0 --init
+        adds cost_after and keeps the record ahead of its sweeps."""
+        cfg_path, out = self.workspace(tmp_path)
+        for argv in (["preprocess"], ["train"], ["finegrain", "--scale", "1"]):
+            assert run_cli(*argv, "--config", cfg_path) == 0
+        coarse = [r for r in read_records(out / "metrics.jsonl") if r["scale"] == 1]
+        opened = {"scale": 0, "finegrain_from": 1,
+                  "truncated_weight": read_records(out / "metrics.jsonl")[-1]["truncated_weight"],
+                  "cost_before": coarse[-1]["cost"]}
+        assert read_records(out / "metrics.jsonl") == coarse + [opened]
+        assert run_cli("train", "--config", cfg_path, "--scale", "0",
+                       "--init", out / "model_scale0.init.mps") == 0
+        records = read_records(out / "metrics.jsonl")
+        assert records[:len(coarse)] == coarse
+        fine = records[len(coarse)]
+        assert fine == {**opened, "cost_after": fine["cost_after"]}
+        assert all(r["scale"] == 0 and "sweep" in r for r in records[len(coarse) + 1:])
+        assert sorted(self.summary(out)) == [0, 1]
+
+    @pytest.mark.parametrize("scale", [1, 0])
+    def test_train_after_pipeline_replaces_only_its_scale(self, tmp_path, capsys, scale):
+        """train --scale k (no --init, another seed) replaces scale k's
+        summary entry and metrics lines, drops scale k's fine-grain record,
+        and leaves the other scale's entry and lines byte for byte."""
+        cfg_path, out = self.workspace(tmp_path)
+        assert run_cli("pipeline", "--config", cfg_path) == 0
+        before, lines = self.summary(out), read_records(out / "metrics.jsonl")
+        assert run_cli("train", "--config", cfg_path, "--scale", scale, "--seed", 6) == 0
+        after, records = self.summary(out), read_records(out / "metrics.jsonl")
+        other = 1 - scale
+        assert list(after) == [1, 0] and after[other] == before[other]
+        assert after[scale] != before[scale]
+        mine = [r for r in records if r["scale"] == scale]
+        assert after[scale]["final_cost"] == mine[-1]["cost"]
+        assert all("sweep" in r for r in mine)
+        assert ([r for r in records if r["scale"] == other]
+                == [r for r in lines if r["scale"] == other])
+        assert [r["scale"] for r in records] == sorted((r["scale"] for r in records),
+                                                       reverse=True)
+
+    @pytest.mark.parametrize("workspace", [classification_workspace, regression_workspace],
+                             ids=["classification", "regression"])
+    def test_step_commands_write_what_pipeline_writes(self, tmp_path, capsys, workspace):
+        """pipeline into one directory, and preprocess, train, then
+        finegrain --scale k+1 and train --scale k --init down to scale 0 into
+        another, write byte-identical models, metrics.jsonl and
+        summary.json, and the same line for each trained scale."""
+        cfg_path, _ = self.workspace(tmp_path, workspace, layers=2)
+        piped, steps = tmp_path / "piped", tmp_path / "steps"
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", cfg_path, "--output", piped) == 0
+        piped_lines = [line.replace(str(piped), str(steps))
+                       for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("scale ")]
+        step_lines = []
+        for argv in (["preprocess"], ["train"],
+                     ["finegrain", "--scale", 2], ["train", "--scale", 1, "--init",
+                                                   steps / "model_scale1.init.mps"],
+                     ["finegrain", "--scale", 1], ["train", "--scale", 0, "--init",
+                                                   steps / "model_scale0.init.mps"]):
+            assert run_cli(*argv, "--config", cfg_path, "--output", steps) == 0
+            if argv[0] == "train":
+                step_lines += capsys.readouterr().out.splitlines()
+            capsys.readouterr()
+        assert step_lines == piped_lines and len(step_lines) == 3
+        for name in ("model_scale2.mps", "model_scale1.mps", "model_scale0.mps",
+                     "metrics.jsonl", "summary.json"):
+            assert (steps / name).read_bytes() == (piped / name).read_bytes(), name
+        assert [(r["scale"], r["finegrain_from"]) for r in read_records(steps / "metrics.jsonl")
+                if "finegrain_from" in r] == [(1, 2), (0, 1)]
 
 
 class LoadLog:
@@ -1033,14 +1159,15 @@ class TestScaleLoading:
         assert alive_at_train == [1, 1, 1]
 
     def test_train_and_eval_load_only_their_scale(self, tmp_path, capsys, monkeypatch):
-        """train --scale k loads train[k] alone; eval --scale k loads the two
-        stacks it scores."""
+        """train --scale k and eval --scale k each load the two stacks they
+        score, train[k] and then test[k]; train scores its model for its
+        summary.json entry."""
         cfg_path = classification_workspace(tmp_path)
         cfg_path.write_text(CLASS_CONFIG.replace("n_d4_layers = 1", "n_d4_layers = 2"))
         assert run_cli("preprocess", "--config", cfg_path) == 0
         log = LoadLog(monkeypatch)
         assert run_cli("train", "--config", cfg_path, "--scale", "1") == 0
-        assert log.loads == [("train", 1)]
+        assert log.loads == [("train", 1), ("test", 1)]
         log.loads.clear()
         assert run_cli("eval", "--config", cfg_path, "--scale", "1") == 0
         assert log.loads == [("train", 1), ("test", 1)]

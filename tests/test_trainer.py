@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from synthdata import random_mps, random_product_state
 import wmera.trainer
-from wmera.coarsegrain import ScaleData
+from wmera.coarsegrain import ScaleData, fine_grain_weights
 from wmera.errors import ArgumentError, DimensionError, NumericError, StateError
 from wmera.mps import MPS, canonicalize, inner, merge_bond, product_state, split_bond
 from wmera.trainer import (
@@ -28,6 +28,7 @@ from wmera.trainer import (
     sweep,
     train,
 )
+from wmera.wavelet import build_daub4_layer
 
 
 def linear_dataset(rng, n_sites, n_samples, coeffs=None, bias=0.0):
@@ -546,6 +547,21 @@ class TestTrain:
         cfg2 = TrainConfig(n_sweeps=1, chi_max=4, seed=7)
         w2, stats2 = train(data, cfg2, w0=w1)
         assert stats2[-1].cost <= stats1[-1].cost + 1e-10
+
+    def test_claimed_center_does_not_change_training(self):
+        """Every start is re-gauged in full, whatever center it claims: a
+        fine-grained warm start, which claims center 0, trains to the same
+        bytes and stats as its cores with no claim, as a model file loads
+        them."""
+        rng = np.random.default_rng(57)
+        data = linear_dataset(rng, 8, 20)
+        warm, _ = fine_grain_weights(random_mps(4, 2, rng), build_daub4_layer(8))
+        assert warm.ortho_center == 0
+        cfg = TrainConfig(n_sweeps=2, chi_max=4, seed=9)
+        w_a, stats_a = train(data, cfg, w0=warm)
+        w_b, stats_b = train(data, cfg, w0=MPS(warm.cores))
+        assert stats_a == stats_b
+        assert [c.tobytes() for c in w_a.cores] == [c.tobytes() for c in w_b.cores]
 
     def test_deterministic_across_runs_and_threads(self):
         rng = np.random.default_rng(56)
